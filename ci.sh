@@ -149,8 +149,9 @@ stage "bench smoke: validate + aggregate"
 # governor, which by the controller contract can never grant busy
 # capacity (no closed-form fixed point), so the grid-level ratio is
 # structurally bounded near 2.5x at smoke scale. residency carries the
-# 256-node fleet cell, whose barrier/exchange-dominated timelines the
-# event scheduler must keep fast-forwarding (PR 7's floor).
+# 256-node fleet cell, whose barrier/exchange-dominated timelines each
+# node's idle stretch must keep fast-forwarding (Lockstep passed into
+# the cluster's idle loop would step them all).
 cargo run --release -q -p bench "$LOCKED" --bin grid_aggregate -- \
   --out "$SMOKE_DIR/BENCH_smoke.json" \
   --require-fast-forward fig3=8 --require-fast-forward ablation=2 \
@@ -286,14 +287,11 @@ wait "$SERVE_PID"
 SERVE_PID=
 
 if [[ "$QUICK" -eq 0 ]]; then
-  stage "full-scale oracle gate (informational)"
+  stage "full-scale oracle gate"
   # Paper §5's central claim at CUTTLEFISH_SCALE=1.0: the online search
   # must land within a small energy gap of the static oracle. A few
-  # seconds in release mode, but informational for now — scale-1.0
-  # behaviour is still being tightened, so a red gap is a loud warning
-  # in the log, not a red build.
-  cargo test --release -q -p bench "$LOCKED" --test oracle_gate -- --ignored ||
-    echo "ci.sh: full-scale oracle gate FAILED (informational only)" >&2
+  # seconds in release mode and deterministic, so a red gap fails CI.
+  cargo test --release -q -p bench "$LOCKED" --test oracle_gate -- --ignored
 fi
 
 echo "CI green."

@@ -17,7 +17,8 @@
 //!   a live `cuttlefish-serve` daemon (vs `grid_cell_warm`'s raw
 //!   store load: the difference is the protocol tax);
 //! * `bsp_superstep_{lockstep,event}` — one imbalanced 4-node
-//!   superstep under the cycle-box reference vs the event heap.
+//!   superstep under the cycle-box reference vs the fast-forwarding
+//!   per-node loops.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use cuttlefish::daemon::Daemon;
@@ -239,10 +240,10 @@ fn bench_grid_cell(c: &mut Criterion) {
 fn bench_bsp_superstep(c: &mut Criterion) {
     use cluster::{BspApp, Cluster, CommModel, NodePolicy, SteppingMode};
 
-    // One 4-node superstep under both driving planes: the lockstep
-    // "cycle-box" reference vs the event heap. Same numbers by the
-    // equivalence suites; this pair tracks the wall-clock gap the
-    // discrete-event scheduler buys on barrier-heavy fleets.
+    // One 4-node superstep under both stepping modes: the lockstep
+    // "cycle-box" reference vs the fast-forwarding per-node loops.
+    // Same numbers by the equivalence suites; this pair tracks the
+    // wall-clock gap the fast-forwards buy on barrier-heavy fleets.
     let chunks = || {
         (0..12)
             .map(|_| {

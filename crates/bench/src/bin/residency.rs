@@ -52,8 +52,8 @@ fn spec(args: &GridArgs) -> GridSpec {
         // A 256-node uniform fleet strong-scaling the same Heat
         // decomposition: at this width each node's compute share is a
         // sliver of the superstep, so the timeline is dominated by
-        // barrier and exchange windows — the shape the discrete-event
-        // scheduler exists for. `ci.sh` holds this grid to a >=5x
+        // barrier and exchange windows — the shape the idle
+        // fast-forward exists for. `ci.sh` holds this grid to a >=5x
         // fast-forward floor via `grid_aggregate --require-fast-forward`.
         spec.push(
             AxisSet::new(

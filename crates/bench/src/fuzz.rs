@@ -1043,10 +1043,6 @@ fn case_json(case: &CaseOutcome) -> Json {
         Topology::Replicated => "replicated",
         Topology::Bsp { .. } => "bsp",
     };
-    let stepping = match s.stepping {
-        SteppingMode::Lockstep => "lockstep",
-        SteppingMode::EventDriven => "event-driven",
-    };
     let runs: Vec<Json> = case
         .runs
         .iter()
@@ -1077,7 +1073,7 @@ fn case_json(case: &CaseOutcome) -> Json {
         ("workload", Json::Str(s.workload.name())),
         ("topology", Json::Str(topology.to_string())),
         ("nodes", Json::Num(s.nodes.len() as f64)),
-        ("stepping", Json::Str(stepping.to_string())),
+        ("stepping", Json::Str(s.stepping.as_str().into())),
         ("scenario_seed", Json::Num(s.seed as f64)),
         ("runs", Json::Arr(runs)),
         ("violations", Json::Arr(violations)),

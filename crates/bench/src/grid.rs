@@ -29,7 +29,6 @@ use cluster::SteppingMode;
 use crossbeam::deque::{Injector, Steal};
 use cuttlefish::controller::{OracleDerivation, OracleTable, PidGains, TraceSample};
 use cuttlefish::Config;
-use serde::{Deserialize, Serialize};
 use simproc::freq::{Freq, FreqDomain, MachineSpec, HASWELL_2650V3};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -46,7 +45,7 @@ pub const CELL_KEY_SCHEMA: &str = "cuttlefish/cell-key/v1";
 /// One entry on a grid's setup axis: an execution [`Setup`] with its
 /// Cuttlefish [`Config`], a display label unique within the grid, and
 /// whether cells under it collect a `Tinv`-rate trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridSetup {
     /// Axis label (`"Default"`, `"Tinv=40ms"`, `"a:CF=1.2"` ...).
     pub label: String,
@@ -88,7 +87,7 @@ impl GridSetup {
 /// bulk-synchronously across them. This is the axis that used to need
 /// hand-built "extra" cells — heterogeneous stragglers and `*-mpi`
 /// shapes are now just fleet entries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fleet {
     /// Node count (1 = single package via the evaluation harness).
     pub nodes: usize,
@@ -150,7 +149,7 @@ impl Default for Fleet {
 /// One cartesian axis-set of a grid:
 /// `benchmarks × fleets × setups × reps`, enumerated in exactly that
 /// nesting order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AxisSet {
     /// Benchmark names (resolved against the grid's suite).
     pub benchmarks: Vec<String>,
@@ -189,7 +188,7 @@ impl AxisSet {
 
 /// A declarative scenario grid: shared name/scale/machine/model plus a
 /// list of axis-sets enumerated in order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridSpec {
     /// Grid name (the figure/table this reproduces).
     pub name: String,
@@ -503,7 +502,7 @@ pub fn paper_setups() -> Vec<GridSetup> {
 /// grid-context form of a [`Scenario`]: [`CellSpec::scenario`] expands
 /// it against the grid's machine and scale, and that scenario is
 /// exactly what [`run_cell`] executes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellSpec {
     /// Benchmark name.
     pub bench: String,
@@ -545,7 +544,7 @@ pub struct CellSpec {
 }
 
 /// Parameters of a strong-scaled BSP cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BspCell {
     /// Superstep count the chunk stream is sliced into (chronological
     /// slices, so warm-up-dependent chunk costs keep their order).
@@ -562,6 +561,51 @@ impl CellSpec {
         HARNESS_SEED ^ (u64::from(self.rep) << 32)
     }
 
+    /// Check the cell-level rules [`CellSpec::scenario`] relies on,
+    /// without expanding the cell. The cell format decides single-node
+    /// by `nodes == 1`, so every single-node rule here keys on that.
+    /// Callers holding a cell from outside (a scenario file, a serve
+    /// submission) check it here so a malformed cell is an error, not
+    /// a panic at expansion.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.nodes == 0 {
+            return Err("cell must have at least one node".into());
+        }
+        if let Some(machines) = &self.machines {
+            if self.nodes < 2 || machines.len() != self.nodes {
+                return Err(
+                    "heterogeneous cells need one machine per node of a multi-node cell".into(),
+                );
+            }
+            for m in machines {
+                m.validate()?;
+            }
+            if machines
+                .iter()
+                .any(|m| m.quantum_ns != machines[0].quantum_ns)
+            {
+                return Err("all nodes must share one quantum_ns".into());
+            }
+        }
+        if self.nodes == 1 && self.stepping != SteppingMode::default() {
+            return Err(format!(
+                "stepping `{}` is only defined for multi-node cells",
+                self.stepping.as_str()
+            ));
+        }
+        if self.trace && self.nodes != 1 {
+            return Err("traces are only defined for single-node cells".into());
+        }
+        if self.setup == Setup::Oracle && self.oracle.is_none() && self.nodes != 1 {
+            return Err(
+                "oracle tables are derived from single-node Default traces; \
+                 multi-node oracle cells need an explicit table"
+                    .into(),
+            );
+        }
+        Ok(())
+    }
+
     /// Expand into the [`Scenario`] this cell runs: `machine` is the
     /// grid's uniform machine (used for every node the cell doesn't
     /// override) and `scale` the grid's workload scale.
@@ -571,13 +615,12 @@ impl CellSpec {
     /// the cell's Default setup with a trace and feeds the samples to
     /// `OracleTable::from_trace` — so expanding such a cell costs one
     /// extra deterministic simulation.
+    ///
+    /// # Panics
+    /// Panics when [`validate`](CellSpec::validate) rejects the cell.
     pub fn scenario(&self, machine: &MachineSpec, scale: f64) -> Scenario {
-        assert!(self.nodes > 0, "cell must have at least one node");
-        if let Some(machines) = &self.machines {
-            assert!(
-                self.nodes > 1 && machines.len() == self.nodes,
-                "heterogeneous cells need one machine per node of a multi-node cell"
-            );
+        if let Err(e) = self.validate() {
+            panic!("invalid cell {}/{}: {e}", self.bench, self.label);
         }
         let policy = match self.setup {
             Setup::Oracle => cuttlefish::NodePolicy::Oracle(match &self.oracle {
@@ -649,16 +692,12 @@ impl CellSpec {
     /// what lets a derived-oracle grid cell and a scenario file
     /// carrying the table inline produce identical artifact bytes.
     ///
+    /// Multi-node cells never get here: [`validate`](CellSpec::validate)
+    /// requires them to carry an explicit table.
+    ///
     /// # Panics
-    /// Panics for multi-node cells (traces are single-node; give
-    /// cluster oracle cells an explicit table) and when the trace
-    /// yields no usable table.
+    /// Panics when the trace yields no usable table.
     fn derive_oracle_table(&self, machine: &MachineSpec, scale: f64) -> OracleTable {
-        assert_eq!(
-            self.nodes, 1,
-            "oracle tables are derived from single-node Default traces; \
-             multi-node oracle cells need an explicit table"
-        );
         let workload = WorkloadSpec::Bench {
             name: self.bench.clone(),
             model: self.model,
@@ -713,8 +752,10 @@ impl CellSpec {
 /// (the `--scenario` CLI path). The mapping back onto the cell format
 /// is total for everything the grid axes produce; scenarios using
 /// features the cell format cannot express (per-node policies,
-/// non-harness seeds, BSP weights, synthetic workloads) are reported
-/// as errors.
+/// non-harness seeds, BSP weights, synthetic workloads) and cells that
+/// [`CellSpec::validate`] rejects (a non-default stepping mode on a
+/// one-node cluster, which the cell format runs as a single node) are
+/// reported as errors.
 pub fn scenario_cell(scenario: &Scenario) -> Result<CellSpec, String> {
     let Some(rep) = scenario.rep() else {
         return Err(
@@ -766,7 +807,7 @@ pub fn scenario_cell(scenario: &Scenario) -> Result<CellSpec, String> {
         }
         _ => None,
     };
-    Ok(CellSpec {
+    let cell = CellSpec {
         bench: name.clone(),
         model: *model,
         label: scenario.label.clone(),
@@ -779,7 +820,9 @@ pub fn scenario_cell(scenario: &Scenario) -> Result<CellSpec, String> {
         bsp,
         oracle,
         stepping: scenario.stepping,
-    })
+    };
+    cell.validate()?;
+    Ok(cell)
 }
 
 /// Run a free-standing scenario into a one-cell [`GridResult`] — the
@@ -844,7 +887,7 @@ pub fn run_scenario_timed(
 }
 
 /// One TIPI-range line of a cell's controller report (Table 2 shape).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReportEntry {
     /// Slab index.
     pub slab: u32,
@@ -878,7 +921,7 @@ impl ReportEntry {
 }
 
 /// Residency at one operating point, summed over nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResidencyEntry {
     /// Core frequency, deci-GHz.
     pub cf: u32,
@@ -889,7 +932,7 @@ pub struct ResidencyEntry {
 }
 
 /// Measurements from one executed cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellResult {
     /// The cell that produced this.
     pub spec: CellSpec,
@@ -1193,7 +1236,7 @@ fn single_cell_result(cell: &CellSpec, outcome: &RunOutcome, trace: Vec<TracePoi
 }
 
 /// Aggregated outcome of a grid run, in cell-enumeration order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridResult {
     /// The grid's name.
     pub grid: String,
@@ -1340,9 +1383,9 @@ pub fn geomean_by_setup(comparisons: &[BaselineComparison]) -> Vec<(String, f64,
 
 // ---------------------------------------------------------------------
 // JSON encoding of the artifact types (hand-rolled against
-// `bench::json`; the serde derives above are offline-shim markers —
-// see `shims/README.md`). The primitive codecs (machines, policies,
-// configs, setups) live in `bench::scenario` and are shared.
+// `bench::json`, the workspace's only codec). The primitive codecs
+// (machines, policies, configs, setups) live in `bench::scenario` and
+// are shared.
 // ---------------------------------------------------------------------
 
 impl ToJson for CellSpec {

@@ -1,10 +1,10 @@
 //! Deterministic JSON encoding for the grid artifacts.
 //!
-//! The workspace's `serde` is an offline marker-only shim (see
+//! The workspace has no `serde` (the build is offline — see
 //! `shims/README.md`), so the machine-readable artifacts the CI
-//! pipeline gates on are encoded by this module instead: a small JSON
-//! value type, a byte-deterministic emitter, and a parser. Determinism
-//! is a hard requirement the real `serde_json` would not state as a
+//! pipeline gates on are encoded by this module: a small JSON value
+//! type, a byte-deterministic emitter, and a parser. Determinism is a
+//! hard requirement the real `serde_json` would not state as a
 //! contract — the shard-invariance gate compares artifact *bytes*
 //! across thread counts — so the emitter pins key order (insertion
 //! order of [`Json::Obj`]) and number formatting (Rust's shortest

@@ -102,10 +102,12 @@ pub struct Scenario {
     pub duration_s: Option<f64>,
     /// Collect the per-`Tinv` trace (single-node only).
     pub trace: bool,
-    /// How the cluster driving plane advances virtual time (event
-    /// heap vs. lockstep reference); serialized only when non-default,
-    /// so historical scenario files keep their bytes. Single-node runs
-    /// have their own (always event-driven) loop and ignore it.
+    /// Whether the cluster's fast-forwards run (event-driven) or every
+    /// node steps quantum by quantum (the lockstep reference);
+    /// serialized only when non-default, so historical scenario files
+    /// keep their bytes. Cluster topologies only: a single node always
+    /// runs the event-driven loop, so validation rejects `Lockstep`
+    /// there.
     pub stepping: SteppingMode,
 }
 
@@ -245,6 +247,13 @@ impl Scenario {
         if self.duration_s.is_some() && !matches!(self.topology, Topology::SingleNode) {
             return Err("a duration cap is only defined for single-node scenarios".into());
         }
+        if self.stepping != SteppingMode::default() && matches!(self.topology, Topology::SingleNode)
+        {
+            return Err(format!(
+                "stepping `{}` is only defined for cluster scenarios",
+                self.stepping.as_str()
+            ));
+        }
         if let Some(d) = self.duration_s {
             if !(d.is_finite() && d > 0.0) {
                 return Err(format!("invalid duration {d}"));
@@ -325,34 +334,40 @@ impl Scenario {
         let deadline = self.duration_s.map(|d| start_t + (d * 1e9).round() as u64);
         let expired = |proc: &SimProcessor| deadline.is_some_and(|d| proc.now_ns() >= d);
 
+        // One driving loop for every run: each `drive_quanta` call
+        // pauses the clock exactly at the next trace capture point (a
+        // fixed 20-quantum cadence; the capture is a pure read) and at
+        // the first boundary at or past the duration cap — where plain
+        // per-quantum stepping would stop. Between pauses the idle and
+        // busy fast-forwards run as in an untraced, uncapped drain.
+        let cadence = if trace.is_some() { 20 } else { u64::MAX };
+        let mut trace = trace.map(|points| {
+            (
+                points,
+                CounterSnapshot::capture(&proc).expect("counters readable"),
+            )
+        });
         let quantum_ns = proc.spec().quantum_ns;
-        if let Some(points) = trace {
-            // Traced runs sample counters on a fixed 20-quantum cadence.
-            // The capture is a pure read, so each 20-quantum segment is
-            // advanced through the same event-driven loop untraced runs
-            // use (identical numerics, fast-forwarded idle and busy
-            // stretches), bounded so the clock pauses exactly at every
-            // capture point — and at the duration cap, when one is set.
-            let mut quanta = 0u64;
-            let mut last = CounterSnapshot::capture(&proc).expect("counters readable");
-            while !proc.workload_drained(wl.as_mut()) && !expired(&proc) {
-                let budget = match deadline {
-                    Some(d) => (d - proc.now_ns()).div_ceil(quantum_ns).min(20),
-                    None => 20,
-                };
-                let done = cuttlefish::controller::drive_quanta(
-                    &mut proc,
-                    wl.as_mut(),
-                    controller.as_mut(),
-                    budget,
-                );
-                if done == 0 {
-                    break;
-                }
-                quanta += done;
-                if quanta.is_multiple_of(20) {
+        let mut quanta = 0u64;
+        while !proc.workload_drained(wl.as_mut()) && !expired(&proc) {
+            let budget = match deadline {
+                Some(d) => (d - proc.now_ns()).div_ceil(quantum_ns).min(cadence),
+                None => cadence,
+            };
+            let done = cuttlefish::controller::drive_quanta(
+                &mut proc,
+                wl.as_mut(),
+                controller.as_mut(),
+                budget,
+            );
+            if done == 0 {
+                break;
+            }
+            quanta += done;
+            if let Some((points, last)) = trace.as_mut() {
+                if quanta.is_multiple_of(cadence) {
                     let now = CounterSnapshot::capture(&proc).expect("counters readable");
-                    if let Some(s) = delta(&last, &now) {
+                    if let Some(s) = delta(last, &now) {
                         points.push(TracePoint {
                             t_s: proc.now_seconds(),
                             tipi: s.tipi,
@@ -362,28 +377,9 @@ impl Scenario {
                             watts: proc.last_quantum().power_watts,
                         });
                     }
-                    last = now;
+                    *last = now;
                 }
             }
-        } else if let Some(d) = deadline {
-            // Duration-capped runs bound every fast-forward by the
-            // quanta left to the cap, so the clock lands on the first
-            // boundary at or past it — exactly where plain per-quantum
-            // stepping would stop.
-            while !proc.workload_drained(wl.as_mut()) && !expired(&proc) {
-                let budget = (d - proc.now_ns()).div_ceil(quantum_ns);
-                let done = cuttlefish::controller::drive_quanta(
-                    &mut proc,
-                    wl.as_mut(),
-                    controller.as_mut(),
-                    budget,
-                );
-                if done == 0 {
-                    break;
-                }
-            }
-        } else {
-            cuttlefish::controller::drive(&mut proc, wl.as_mut(), controller.as_mut());
         }
 
         let report = controller.report();
@@ -580,7 +576,8 @@ impl ScenarioBuilder {
     }
 
     /// Pin the cluster driving mode (defaults to
-    /// [`SteppingMode::EventDriven`]).
+    /// [`SteppingMode::EventDriven`]; cluster scenarios only — see
+    /// [`Scenario::stepping`]).
     pub fn stepping(mut self, mode: SteppingMode) -> Self {
         self.stepping = mode;
         self
@@ -733,10 +730,9 @@ impl ScenarioOutcome {
 }
 
 // ---------------------------------------------------------------------
-// JSON codec (hand-rolled against `bench::json`; the workspace serde is
-// an offline marker-only shim — see `shims/README.md`). The primitive
-// impls here (machines, policies, configs) are shared with the grid
-// artifact codec in `bench::grid`.
+// JSON codec (hand-rolled against `bench::json`, the workspace's only
+// codec). The primitive impls here (machines, policies, configs) are
+// shared with the grid artifact codec in `bench::grid`.
 // ---------------------------------------------------------------------
 
 /// Build a [`Json::Obj`] from `(key, value)` pairs in order. Public

@@ -7,8 +7,9 @@
 //! oracle* derived from each benchmark's traced Default run.
 //!
 //! `#[ignore]` by default: this is a multi-second release-mode run, far
-//! beyond unit-test budgets, and meaningless in debug builds. CI runs
-//! it as an informational stage via `ci.sh`:
+//! beyond unit-test budgets, and meaningless in debug builds. The gate
+//! is deterministic, and `ci.sh` runs it as a gating stage of the full
+//! (non-`--quick`) path:
 //!
 //! ```text
 //! cargo test --release -p bench --test oracle_gate -- --ignored
@@ -29,7 +30,7 @@ const MAX_GAP_PCT: f64 = 20.0;
 const MAX_MEAN_GAP_PCT: f64 = 8.0;
 
 #[test]
-#[ignore = "paper-scale run; ci.sh invokes it in release mode as an informational stage"]
+#[ignore = "paper-scale run; ci.sh invokes it in release mode as a gating stage"]
 fn online_search_tracks_static_oracle_at_full_scale() {
     let mut spec = GridSpec::new("table2", 1.0);
     let benchmarks = spec.full_suite();

@@ -6,6 +6,7 @@
 use bench::grid::{run_scenario_timed, straggler_spec, AxisSet, Fleet, GridSetup, GridSpec};
 use bench::scenario::{Scenario, Topology, SCENARIO_SCHEMA};
 use bench::{Setup, HARNESS_SEED};
+use cluster::SteppingMode;
 use cuttlefish::controller::{NodePolicy, OracleEntry, OracleTable, PidGains};
 use cuttlefish::{Config, Policy, TipiSlab};
 use proptest::collection;
@@ -259,6 +260,29 @@ fn malformed_scenario_files_are_rejected() {
     let mut doc = valid_doc();
     set_field(&mut doc, "duration_s", Json::Num(-1.0));
     assert!(Scenario::from_json_str(&doc.to_pretty()).is_err());
+    // A stepping mode on a single node, which has no cluster to drive.
+    let mut doc = valid_doc();
+    set_field(&mut doc, "stepping", Json::Str("lockstep".into()));
+    let err = Scenario::from_json_str(&doc.to_pretty()).unwrap_err();
+    assert!(err.0.contains("stepping"), "{err}");
+}
+
+#[test]
+fn one_node_cluster_with_a_stepping_mode_is_refused_by_the_grid_path() {
+    // The cell format runs a one-node cell as a single node, which has
+    // no stepping mode. A one-node cluster scenario pinning one is a
+    // valid scenario, but the `--scenario` path must refuse it with an
+    // error rather than panic when the cell expands.
+    for topology in [Topology::Replicated, Topology::bsp(2, 0.0)] {
+        let mut s = Scenario::bench("Heat-ws", ProgModel::OpenMp, 0.02)
+            .policy(NodePolicy::Default)
+            .build();
+        s.topology = topology;
+        s.stepping = SteppingMode::Lockstep;
+        s.validate().expect("a valid scenario");
+        let err = run_scenario_timed(&s, None).expect_err("a one-node cell has no stepping mode");
+        assert!(err.contains("stepping"), "{err}");
+    }
 }
 
 /// A valid scenario document under `policy`, as text.

@@ -30,33 +30,29 @@
 //!
 //! # Scheduler architecture
 //!
-//! The driving plane is a discrete-event scheduler, not a lockstep
-//! loop. Everything that advances virtual time implements one
-//! object-safe trait, [`EventSource`] — *"when is your next observable
-//! event, and advance yourself to a timestamp"* — and
-//! [`sched::run_event_loop`] drives any mix of sources from a single
-//! global min-heap keyed on `(timestamp, source index)`. Three source
-//! kinds cover a fleet:
+//! Between barriers the nodes share nothing, so there is nothing to
+//! interleave: [`Cluster::run_program`] is one superstep loop that
+//! drives each node in turn through the two loops every layer of the
+//! stack already uses.
 //!
-//! * **Compute** — a node draining its superstep workload. Events are
-//!   the engine's runway horizons (`SimProcessor::next_event_ns`:
-//!   chunk retirements, workload wake-ups); each advance hands the
-//!   span to the shared `cuttlefish::controller::drive_quanta` loop,
-//!   which fast-forwards controller-certified busy stretches.
-//! * **Daemon ticks** — a parked node's `Tinv` stream. The controller's
-//!   `idle_quanta_capacity` answer *is* the event query: the next real
-//!   event is the first quantum it does not certify as uneventful.
-//! * **Windows** — a tick stream clipped to a barrier or exchange
-//!   deadline.
+//! * **Compute** — the node builds its superstep workload and drains
+//!   it through `cuttlefish::controller::drive`, which fast-forwards
+//!   parked stretches and controller-certified busy stretches
+//!   (`SimProcessor::advance_idle_quanta` / `advance_busy_quanta`).
+//! * **Barrier + exchange** — once every node has finished, each one
+//!   idles its barrier wait plus the α–β exchange window as one
+//!   stretch of whole quanta. The stretch advances analytically as far
+//!   as the node's controller certifies (`idle_quanta_capacity`: up to
+//!   its next `Tinv` tick, or indefinitely from an absorbing idle
+//!   state) and steps for real only at the quanta it does not.
 //!
 //! Fleet cost is therefore bound by the number of *events*, not
-//! nodes × quanta. The historical per-quantum loop survives as
-//! [`SteppingMode::Lockstep`] — a reference "cycle-box" selectable per
-//! [`Cluster`] (and declaratively per scenario via the bench harness) —
-//! and the equivalence suites hold the two modes to bit identity
-//! across every shipped governor: sources advance in timestamp slices,
-//! and every analytic advance in the stack is a per-quantum replay of
-//! the stepped arithmetic, hence exact under any slicing.
+//! nodes × quanta. [`SteppingMode::Lockstep`] turns both fast-forwards
+//! off — a reference "cycle-box" selectable per [`Cluster`] (and
+//! declaratively per scenario via the bench harness) — and the
+//! equivalence suites hold the two modes to bit identity across every
+//! shipped governor: every analytic advance in the stack is a
+//! per-quantum replay of the stepped arithmetic.
 //!
 //! Programs enter through [`Cluster::run_program`] over a
 //! [`BspProgram`] (superstep → per-node workload); [`BspApp`] chunk
@@ -65,8 +61,6 @@
 
 pub mod bsp;
 pub mod node;
-pub mod sched;
 
 pub use bsp::{BspApp, BspOutcome, BspProgram, CommModel, QuantaSplit, ReplicatedProgram};
-pub use node::{Cluster, NodePolicy};
-pub use sched::{EventSource, SteppingMode};
+pub use node::{Cluster, NodePolicy, SteppingMode};

@@ -1,15 +1,15 @@
 //! Cluster simulation: N simulated packages executing bulk-synchronous
 //! supersteps, each with its own frequency controller.
 //!
-//! The driving plane is the discrete-event scheduler in
-//! [`crate::sched`]: compute phases, daemon tick streams, and
-//! barrier/exchange windows are all [`EventSource`]s driven from one
-//! global min-heap ([`SteppingMode::EventDriven`], the default), with
-//! the historical per-quantum lockstep loop retained as the bit-exact
-//! reference ([`SteppingMode::Lockstep`]).
+//! Nodes share nothing between barriers, so [`Cluster::run_program`]
+//! drives each superstep node by node: a node builds its workload and
+//! drains it through the shared [`cuttlefish::controller::drive`] loop,
+//! then idles its barrier wait plus the exchange window as one stretch
+//! that fast-forwards whatever its controller certifies as uneventful.
+//! [`SteppingMode::Lockstep`] turns both fast-forwards off — the
+//! per-quantum reference the equivalence suites compare against.
 
 use crate::bsp::{BspOutcome, BspProgram, CommModel, QuantaSplit};
-use crate::sched::{run_event_loop, EventSource, SteppingMode};
 use cuttlefish::controller::FrequencyController;
 use simproc::engine::{Chunk, Workload};
 use simproc::freq::{MachineSpec, HASWELL_2650V3};
@@ -21,6 +21,45 @@ use std::collections::BTreeMap;
 // examples; `cluster` re-exports the policy for convenience.
 pub use cuttlefish::controller::NodePolicy;
 
+/// How a [`Cluster`] advances virtual time: with the analytic
+/// fast-forwards on or off. Serialized in `Scenario` JSON by the bench
+/// harness (omitted when default), so any grid cell can pin its
+/// driving mode declaratively.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum SteppingMode {
+    /// The reference "cycle-box": every node steps quantum by quantum.
+    /// Linear in nodes × quanta; exists so the fast-forwarding path has
+    /// a bit-exact oracle to answer to.
+    Lockstep,
+    /// Compute phases run through `cuttlefish::controller::drive` and
+    /// barrier/exchange waits skip every stretch the node's controller
+    /// certifies as uneventful, so cost is bound by event count (the
+    /// default).
+    #[default]
+    EventDriven,
+}
+
+impl SteppingMode {
+    /// Stable wire name, used by the scenario/grid JSON codecs.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            SteppingMode::Lockstep => "lockstep",
+            SteppingMode::EventDriven => "event-driven",
+        }
+    }
+
+    /// Inverse of [`SteppingMode::as_str`].
+    pub fn parse(s: &str) -> Result<Self, String> {
+        match s {
+            "lockstep" => Ok(SteppingMode::Lockstep),
+            "event-driven" => Ok(SteppingMode::EventDriven),
+            other => Err(format!(
+                "unknown stepping mode `{other}` (expected `lockstep` or `event-driven`)"
+            )),
+        }
+    }
+}
+
 struct Node {
     proc: SimProcessor,
     ctrl: Box<dyn FrequencyController>,
@@ -29,9 +68,7 @@ struct Node {
 
 /// Nothing to run: models barrier wait / communication windows (cores
 /// idle; the package still burns its floor power; per-node Cuttlefish
-/// daemons skip the interval because no instructions retire). Its
-/// `next_wake_ns` is `None` — the engine may fast-forward straight to
-/// the barrier timestamp.
+/// daemons skip the interval because no instructions retire).
 struct Idle;
 impl Workload for Idle {
     fn next_chunk(&mut self, _c: usize, _t: u64) -> Option<Chunk> {
@@ -45,107 +82,14 @@ impl Workload for Idle {
     }
 }
 
-/// A node draining a superstep workload — the compute-phase
-/// [`EventSource`]. Its events are the engine's runway horizons
-/// (frequency transitions, workload wake-ups, controller ticks); each
-/// `advance` hands the span to the shared
-/// [`cuttlefish::controller::drive_quanta`] loop, whose per-quantum
-/// replays make timestamp slicing exact (sched contract rule 2).
-struct ComputeSource<'a> {
-    node: &'a mut Node,
-    wl: &'a mut dyn Workload,
-}
-
-impl EventSource for ComputeSource<'_> {
-    fn next_event_ns(&self, _now_ns: u64) -> Option<u64> {
-        if self.node.proc.workload_drained(&*self.wl) {
-            return None;
-        }
-        let now = self.node.proc.now_ns();
-        let quantum = self.node.proc.spec().quantum_ns;
-        // The engine's own horizon where it has one; otherwise (or when
-        // it answers "right now") fall back to one quantum so the heap
-        // always makes progress.
-        let horizon = self.node.proc.next_event_ns(&*self.wl).unwrap_or(0);
-        Some(horizon.max(now + quantum))
-    }
-
-    fn advance(&mut self, to_ns: u64) {
-        let now = self.node.proc.now_ns();
-        let quantum = self.node.proc.spec().quantum_ns;
-        let budget = (to_ns.saturating_sub(now)).div_ceil(quantum).max(1);
-        cuttlefish::controller::drive_quanta(
-            &mut self.node.proc,
-            self.wl,
-            self.node.ctrl.as_mut(),
-            budget,
-        );
-    }
-}
-
-/// A parked node's daemon tick stream — the `Tinv` [`EventSource`].
-/// Its next event is the first quantum the controller does *not*
-/// certify as uneventful (the daemon's next scheduled tick, a firmware
-/// ramp-down quantum, …); `advance` fast-forwards the certified
-/// stretch and steps the tick quantum for real. Unbounded on its own:
-/// clip it with [`WindowSource`] to terminate.
-struct TickSource<'a> {
-    node: &'a mut Node,
-}
-
-impl TickSource<'_> {
-    fn now_ns(&self) -> u64 {
-        self.node.proc.now_ns()
-    }
-}
-
-impl EventSource for TickSource<'_> {
-    fn next_event_ns(&self, _now_ns: u64) -> Option<u64> {
-        let quantum = self.node.proc.spec().quantum_ns;
-        let certified = self.node.ctrl.idle_quanta_capacity(&self.node.proc);
-        // The quantum after the certified stretch must step for real.
-        Some(
-            self.now_ns()
-                .saturating_add(certified.saturating_add(1).saturating_mul(quantum)),
-        )
-    }
-
-    fn advance(&mut self, to_ns: u64) {
-        let quantum = self.node.proc.spec().quantum_ns;
-        let quanta = to_ns.saturating_sub(self.now_ns()) / quantum;
-        Cluster::idle_for(self.node, quanta, SteppingMode::EventDriven);
-    }
-}
-
-/// A daemon tick stream clipped to a window deadline — the
-/// barrier-wait / exchange [`EventSource`]. Exhausted once the node's
-/// clock reaches `end_ns` (grid-aligned, so the clip is exact).
-struct WindowSource<'a> {
-    ticks: TickSource<'a>,
-    end_ns: u64,
-}
-
-impl EventSource for WindowSource<'_> {
-    fn next_event_ns(&self, now_ns: u64) -> Option<u64> {
-        if self.ticks.now_ns() >= self.end_ns {
-            return None;
-        }
-        Some(self.ticks.next_event_ns(now_ns)?.min(self.end_ns))
-    }
-
-    fn advance(&mut self, to_ns: u64) {
-        self.ticks.advance(to_ns.min(self.end_ns));
-    }
-}
-
 /// A simulated cluster.
 pub struct Cluster {
     nodes: Vec<Node>,
     comm: CommModel,
     /// How virtual time advances — see [`SteppingMode`]. Event-driven
-    /// by default; `Lockstep` forces the historical quantum-by-quantum
-    /// loop the equivalence tests and before/after stepping
-    /// measurements compare against.
+    /// by default; `Lockstep` forces the quantum-by-quantum loop the
+    /// equivalence tests and before/after stepping measurements compare
+    /// against.
     stepping: SteppingMode,
 }
 
@@ -204,11 +148,6 @@ impl Cluster {
     pub fn set_stepping(&mut self, mode: SteppingMode) -> &mut Self {
         self.stepping = mode;
         self
-    }
-
-    /// The cluster's current driving mode.
-    pub fn stepping(&self) -> SteppingMode {
-        self.stepping
     }
 
     /// Number of nodes.
@@ -276,98 +215,20 @@ impl Cluster {
         }
     }
 
-    /// Compute phase: every node drains its superstep workload. Event
-    /// mode drives one [`ComputeSource`] per node from the global heap;
-    /// lockstep steps each node quantum by quantum, the historical
-    /// reference (nodes are independent between barriers, so draining
-    /// them one after another is the same schedule).
-    fn compute(&mut self, workloads: &mut [Box<dyn Workload>]) {
-        match self.stepping {
+    /// Drain one node's superstep workload: through the shared
+    /// fast-forwarding [`cuttlefish::controller::drive`] loop, or quantum
+    /// by quantum under `Lockstep`.
+    fn drain(node: &mut Node, wl: &mut dyn Workload, stepping: SteppingMode) {
+        match stepping {
+            SteppingMode::EventDriven => {
+                cuttlefish::controller::drive(&mut node.proc, wl, node.ctrl.as_mut());
+            }
             SteppingMode::Lockstep => {
-                for (node, wl) in self.nodes.iter_mut().zip(workloads.iter_mut()) {
-                    while !node.proc.workload_drained(wl.as_ref()) {
-                        Self::step_node(node, wl.as_mut());
-                    }
+                while !node.proc.workload_drained(wl) {
+                    Self::step_node(node, wl);
                 }
             }
-            SteppingMode::EventDriven => {
-                let mut sources: Vec<ComputeSource> = self
-                    .nodes
-                    .iter_mut()
-                    .zip(workloads.iter_mut())
-                    .map(|(node, wl)| ComputeSource {
-                        node,
-                        wl: wl.as_mut(),
-                    })
-                    .collect();
-                let mut dyns: Vec<&mut dyn EventSource> = sources
-                    .iter_mut()
-                    .map(|s| s as &mut dyn EventSource)
-                    .collect();
-                run_event_loop(&mut dyns);
-            }
         }
-    }
-
-    /// Idle every node up to its entry in `end_ns` (absolute,
-    /// grid-aligned) — the shared engine behind barrier waits and
-    /// exchange windows. Event mode drives one [`WindowSource`] per
-    /// node from the global heap.
-    fn idle_windows(&mut self, end_ns: &[u64]) {
-        match self.stepping {
-            SteppingMode::Lockstep => {
-                for (node, &end) in self.nodes.iter_mut().zip(end_ns) {
-                    let quanta =
-                        end.saturating_sub(node.proc.now_ns()) / node.proc.spec().quantum_ns;
-                    Self::idle_for(node, quanta, SteppingMode::Lockstep);
-                }
-            }
-            SteppingMode::EventDriven => {
-                let mut sources: Vec<WindowSource> = self
-                    .nodes
-                    .iter_mut()
-                    .zip(end_ns)
-                    .map(|(node, &end)| WindowSource {
-                        ticks: TickSource { node },
-                        end_ns: end,
-                    })
-                    .collect();
-                let mut dyns: Vec<&mut dyn EventSource> = sources
-                    .iter_mut()
-                    .map(|s| s as &mut dyn EventSource)
-                    .collect();
-                run_event_loop(&mut dyns);
-            }
-        }
-    }
-
-    /// Barrier phase: early finishers idle until the slowest node
-    /// arrives (no slack reclamation: §4.6's limitation). Returns the
-    /// per-node waits charged, in node order.
-    fn barrier(&mut self, finish_ns: &[u64]) -> Vec<f64> {
-        let barrier_ns = *finish_ns.iter().max().expect("nodes exist");
-        // Node clocks live on the shared quantum grid, so every node's
-        // wait is a whole number of quanta ending exactly at the
-        // barrier timestamp.
-        self.idle_windows(&vec![barrier_ns; self.nodes.len()]);
-        finish_ns
-            .iter()
-            .map(|&t| barrier_ns.saturating_sub(t) as f64 * 1e-9)
-            .collect()
-    }
-
-    /// Exchange phase: all nodes busy-idle on the NIC for one α–β
-    /// exchange window.
-    fn exchange(&mut self) {
-        let quantum_ns = self.nodes[0].proc.spec().quantum_ns;
-        let quantum_s = quantum_ns as f64 * 1e-9;
-        let comm_quanta = (self.comm.exchange_seconds() / quantum_s).ceil() as u64;
-        let end_ns: Vec<u64> = self
-            .nodes
-            .iter()
-            .map(|n| n.proc.now_ns() + comm_quanta * quantum_ns)
-            .collect();
-        self.idle_windows(&end_ns);
     }
 
     fn outcome(&self, barrier_wait_s: f64, node_barrier_wait_s: Vec<f64>) -> BspOutcome {
@@ -408,40 +269,58 @@ impl Cluster {
     }
 
     /// Execute a bulk-synchronous program to completion — the one
-    /// entry point. Per superstep: compute (each node drains the
-    /// workload `program` builds for it), barrier, exchange; every
-    /// phase is driven per the cluster's [`SteppingMode`].
+    /// entry point. Per superstep, each node drains the workload
+    /// `program` builds for it, then idles through the barrier and the
+    /// exchange; both are driven per the cluster's [`SteppingMode`].
     pub fn run_program<P: BspProgram + ?Sized>(&mut self, program: &mut P) -> BspOutcome {
         assert_eq!(
             program.n_nodes(),
             self.nodes.len(),
             "program/cluster size mismatch"
         );
+        let stepping = self.stepping;
+        let quantum_ns = self.nodes[0].proc.spec().quantum_ns;
+        let quantum_s = quantum_ns as f64 * 1e-9;
+        let comm_quanta = (self.comm.exchange_seconds() / quantum_s).ceil() as u64;
         let mut barrier_wait_s = 0.0;
         let mut node_barrier_wait_s = vec![0.0; self.nodes.len()];
 
         for step in 0..program.n_steps() {
             // Phase 1: local computation, each node at its own pace.
-            let t0: Vec<u64> = self.nodes.iter().map(|n| n.proc.now_ns()).collect();
-            let mut workloads: Vec<Box<dyn Workload>> = self
-                .nodes
-                .iter()
-                .enumerate()
-                .map(|(i, n)| program.workload(step, i, n.proc.n_cores()))
-                .collect();
-            self.compute(&mut workloads);
-            let finish_ns: Vec<u64> = self.nodes.iter().map(|n| n.proc.now_ns()).collect();
-            for (node, (&t0, &t1)) in self.nodes.iter_mut().zip(t0.iter().zip(&finish_ns)) {
-                node.busy_s += (t1 - t0) as f64 * 1e-9;
+            // Nodes are independent between barriers, so each builds,
+            // drains and drops its workload in turn.
+            for (i, node) in self.nodes.iter_mut().enumerate() {
+                let t0 = node.proc.now_ns();
+                let mut wl = program.workload(step, i, node.proc.n_cores());
+                Self::drain(node, wl.as_mut(), stepping);
+                node.busy_s += (node.proc.now_ns() - t0) as f64 * 1e-9;
             }
 
-            // Phases 2–3: barrier, then the exchange.
-            let waits = self.barrier(&finish_ns);
+            // Phases 2–3: early finishers idle until the slowest node
+            // arrives (no slack reclamation: §4.6's limitation), then
+            // every node idles on the NIC for one α–β exchange. Node
+            // clocks live on the shared quantum grid, so the wait is a
+            // whole number of quanta and both windows run as one idle
+            // stretch.
+            let barrier_ns = self
+                .nodes
+                .iter()
+                .map(|n| n.proc.now_ns())
+                .max()
+                .expect("nodes exist");
+            let waits: Vec<f64> = self
+                .nodes
+                .iter_mut()
+                .map(|node| {
+                    let wait_ns = barrier_ns - node.proc.now_ns();
+                    Self::idle_for(node, wait_ns / quantum_ns + comm_quanta, stepping);
+                    wait_ns as f64 * 1e-9
+                })
+                .collect();
             barrier_wait_s += waits.iter().sum::<f64>();
             for (acc, w) in node_barrier_wait_s.iter_mut().zip(&waits) {
                 *acc += w;
             }
-            self.exchange();
         }
 
         self.outcome(barrier_wait_s, node_barrier_wait_s)
@@ -621,12 +500,11 @@ mod tests {
     }
 
     #[test]
-    fn stepping_mode_is_selected_through_the_enum() {
-        let mut cluster = Cluster::new(1, NodePolicy::Default, CommModel::default());
-        assert_eq!(cluster.stepping(), SteppingMode::EventDriven);
-        cluster.set_stepping(SteppingMode::Lockstep);
-        assert_eq!(cluster.stepping(), SteppingMode::Lockstep);
-        cluster.set_stepping(SteppingMode::EventDriven);
-        assert_eq!(cluster.stepping(), SteppingMode::EventDriven);
+    fn stepping_mode_default_and_wire_names() {
+        assert_eq!(SteppingMode::default(), SteppingMode::EventDriven);
+        for mode in [SteppingMode::Lockstep, SteppingMode::EventDriven] {
+            assert_eq!(SteppingMode::parse(mode.as_str()), Ok(mode));
+        }
+        assert!(SteppingMode::parse("cycle-accurate").is_err());
     }
 }

@@ -1,18 +1,15 @@
 //! Controller-equivalence suite for the cluster layer: the
-//! event-driven scheduler (global min-heap over `EventSource`s, idle
-//! *and* busy fast-forward) must produce *bit-identical* cluster
-//! outcomes to the historical quantum-by-quantum lockstep loop —
-//! energies, wall time, instructions, barrier accounting, and
-//! per-operating-point residency — while stepping strictly fewer
-//! quanta wherever a fast path legally exists.
+//! event-driven per-node loops (idle *and* busy fast-forward) must
+//! produce *bit-identical* cluster outcomes to the quantum-by-quantum
+//! lockstep reference — energies, wall time, instructions, barrier
+//! accounting, and per-operating-point residency — while stepping
+//! strictly fewer quanta wherever a fast path legally exists.
 //!
 //! This is the cluster-level half of the `FrequencyController`
 //! contract (see `cuttlefish::controller`): the engine suites prove
 //! the advance arithmetic itself is exact; this suite proves each
 //! controller's capacity answers are honest across real BSP phase
-//! structure (compute stretches, barrier waits, exchange windows) —
-//! including when the heap slices a node's timeline at other nodes'
-//! event timestamps.
+//! structure (compute stretches, barrier waits, exchange windows).
 
 use cluster::{
     BspApp, BspOutcome, Cluster, CommModel, NodePolicy, ReplicatedProgram, SteppingMode,
@@ -225,9 +222,8 @@ fn straggler_fleet_is_bit_identical_across_stepping_modes() {
     // A seeded 8-node fleet with one de-rated straggler: seven paper
     // machines plus the slow node, each draining an irregular
     // work-stealing DAG, then one barrier (set by the straggler) and
-    // one exchange. The heap interleaves node timelines at arbitrary
-    // event boundaries here — heterogeneous clocks, long tail waits —
-    // and must still match lockstep bit for bit on every governor.
+    // one exchange. Heterogeneous clocks and long tail waits must
+    // still match lockstep bit for bit on every governor.
     let fleet = |policy: &NodePolicy| -> Vec<(MachineSpec, NodePolicy)> {
         (0..7)
             .map(|_| (HASWELL_2650V3.clone(), policy.clone()))
@@ -255,5 +251,18 @@ fn straggler_fleet_is_bit_identical_across_stepping_modes() {
             outcome.node_barrier_wait_s[7] < outcome.node_barrier_wait_s[0],
             "{name}: the straggler must wait least at the barrier"
         );
+        // The fast nodes' barrier and exchange windows must actually
+        // fast-forward; only the bit-identity above would survive a
+        // regression to stepping them. PidUncore is exempt: its idle
+        // capacity waits for an absorbing PID state that waits this
+        // short never reach.
+        if name != "PidUncore" {
+            for (i, q) in outcome.node_quanta[..7].iter().enumerate() {
+                assert!(
+                    q.idle_advanced > 0,
+                    "{name}: fast node {i} must idle-advance part of its wait ({q:?})"
+                );
+            }
+        }
     }
 }

@@ -81,16 +81,14 @@
 //! `crates/simproc/tests/event_clock.rs`) enforce the bit-exactness
 //! half of this contract for every shipped controller.
 //!
-//! In cluster runs these capacity answers have a second consumer: the
-//! discrete-event scheduler (`cluster::sched`) derives each node's
-//! next event timestamp from the engine's runway query, which is
-//! bounded by the node controller's capacity. A controller's answers
-//! therefore *are* its tick stream on the global event heap — a
-//! tick-scheduled governor surfaces one event per `Tinv`, a
-//! fixed-point governor one per drain/park transition — and the same
-//! bit-exactness obligations guarantee the heap may slice a node's
-//! timeline at any other node's event boundary without changing a
-//! single number.
+//! In cluster runs these capacity answers drive every node of the
+//! fleet: each node drains its superstep workload through [`drive`]
+//! and then idles its barrier wait and exchange window as one stretch
+//! that advances as far as [`idle_quanta_capacity`] certifies. A
+//! tick-scheduled governor therefore steps once per `Tinv` of a wait,
+//! a fixed-point governor only until it reaches its absorbing idle
+//! state, and the same bit-exactness obligations make the result
+//! identical to stepping every quantum (`cluster::SteppingMode`).
 //!
 //! [`note_idle_quanta`]: FrequencyController::note_idle_quanta
 //! [`idle_quanta_capacity`]: FrequencyController::idle_quanta_capacity
@@ -101,7 +99,6 @@ use crate::daemon::NodeReport;
 use crate::driver::CuttlefishDriver;
 use crate::tipi::TipiSlab;
 use crate::{Config, Policy};
-use serde::{Deserialize, Serialize};
 use simproc::freq::{Freq, MachineSpec};
 use simproc::governor::DefaultGovernor;
 use simproc::perf::{PerfModel, LINE_BYTES};
@@ -649,7 +646,7 @@ impl FrequencyController for Ondemand {
 
 /// One row of an [`OracleTable`]: the statically-known optimal
 /// operating point for one TIPI range (one Table 2 row).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OracleEntry {
     /// The TIPI range this point applies to.
     pub slab: TipiSlab,
@@ -669,7 +666,7 @@ pub struct OracleEntry {
 /// (hand-written from Table 2) or by [`OracleTable::from_trace`],
 /// which derives one from a traced `Default` run the way the paper
 /// builds its oracle from profiled executions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OracleTable {
     /// TIPI slab width the entries are quantized with (§3.2).
     pub slab_width: f64,
@@ -1166,7 +1163,7 @@ impl FrequencyController for Oracle {
 /// to `setpoint` keeps the uncore just fast enough that memory traffic
 /// retains `1 − setpoint` headroom, instead of exploring for the JPI
 /// minimum like Algorithm 3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PidGains {
     /// Proportional gain, ratio steps per unit error.
     pub kp: f64,
@@ -1397,11 +1394,10 @@ impl FrequencyController for PidUncore {
 /// Frequency policy for a node — the factory input shared by the
 /// evaluation harness, the cluster simulator, and the examples.
 ///
-/// The policy is plain data (`Clone + PartialEq`, serde-ready): the
-/// grid runner in `bench::grid` embeds it in per-cell scenario
-/// descriptors that cross thread boundaries and round-trip through
-/// JSON artifacts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The policy is plain data (`Clone + PartialEq`): the grid runner in
+/// `bench::grid` embeds it in per-cell scenario descriptors that cross
+/// thread boundaries and round-trip through JSON artifacts.
+#[derive(Debug, Clone, PartialEq)]
 pub enum NodePolicy {
     /// `performance` governor + firmware Auto uncore.
     Default,

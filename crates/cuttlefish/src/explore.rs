@@ -24,10 +24,8 @@
 //! at a possibly-suboptimal frequency, and the modified binary search
 //! needs JPI at `mid−1`/`mid`/`mid+1` per split (§4.3's cost analysis).
 
-use serde::{Deserialize, Serialize};
-
 /// Running JPI average for one frequency level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct JpiAvg {
     n: u32,
     sum: f64,
@@ -58,7 +56,7 @@ impl JpiAvg {
 }
 
 /// Exploration state for one frequency domain of one TIPI node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Exploration {
     /// Left (low-frequency) bound, domain index.
     lb: usize,

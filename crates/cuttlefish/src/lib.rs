@@ -79,11 +79,9 @@ pub use controller::{
 pub use daemon::Daemon;
 pub use tipi::TipiSlab;
 
-use serde::{Deserialize, Serialize};
-
 /// Which frequency domains Cuttlefish is allowed to adapt — the three
 /// build-time variants of the paper's §5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
     /// Adapt both core (DVFS) and uncore (UFS): "Cuttlefish".
     Both,
@@ -107,7 +105,7 @@ impl Policy {
 }
 
 /// Runtime configuration (paper defaults).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Config {
     /// Profiling interval. 20 ms default (§5.4 picks it as the best
     /// trade-off; RAPL refreshes every 1 ms on Haswell).

@@ -6,7 +6,6 @@
 
 use crate::explore::Exploration;
 use crate::tipi::TipiSlab;
-use serde::{Deserialize, Serialize};
 
 /// Which exploration stage the node is in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,7 +19,7 @@ pub enum Stage {
 }
 
 /// Per-TIPI-range state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Node {
     /// The quantized TIPI range this node represents.
     pub slab: TipiSlab,

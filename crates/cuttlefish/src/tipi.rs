@@ -6,11 +6,10 @@
 //! runtime gets one node in the sorted TIPI list; the slab *index*
 //! orders nodes from compute-bound (low) to memory-bound (high).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A quantized TIPI range `[index·width, (index+1)·width)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TipiSlab(pub u32);
 
 impl TipiSlab {

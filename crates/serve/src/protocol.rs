@@ -14,7 +14,6 @@ use bench::grid::{scenario_cell, CellSpec, CELL_KEY_SCHEMA};
 use bench::json::{FromJson, Json, JsonError, ToJson};
 use bench::scenario::{obj, Scenario, SCENARIO_SCHEMA};
 use bench::store::StoreStats;
-use bench::Setup;
 use simproc::freq::MachineSpec;
 use std::io::{self, BufRead, Write};
 use workloads::WorkloadSpec;
@@ -81,38 +80,12 @@ impl CellSubmission {
         if !(self.scale.is_finite() && self.scale > 0.0) {
             return Err(format!("invalid workload scale {}", self.scale));
         }
-        let cell = &self.cell;
-        if cell.nodes == 0 {
-            return Err("cell must have at least one node".into());
-        }
-        if let Some(machines) = &cell.machines {
-            if cell.nodes < 2 || machines.len() != cell.nodes {
-                return Err(
-                    "heterogeneous cells need one machine per node of a multi-node cell".into(),
-                );
-            }
-            for m in machines {
-                m.validate()?;
-            }
-            if machines
-                .iter()
-                .any(|m| m.quantum_ns != machines[0].quantum_ns)
-            {
-                return Err("all nodes must share one quantum_ns".into());
-            }
-        }
-        if cell.setup == Setup::Oracle && cell.oracle.is_none() && cell.nodes != 1 {
-            return Err(
-                "oracle tables are derived from single-node Default traces; \
-                 multi-node oracle cells need an explicit table"
-                    .into(),
-            );
-        }
+        self.cell.validate()?;
         // Resolves the benchmark name/model against the suite — the
         // same check `Scenario::validate` applies.
         WorkloadSpec::Bench {
-            name: cell.bench.clone(),
-            model: cell.model,
+            name: self.cell.bench.clone(),
+            model: self.cell.model,
             scale: self.scale,
         }
         .resolve()?;

@@ -5,11 +5,12 @@
 //! submissions must complete without running the simulator; and
 //! `shutdown` must drain in-flight work before the daemon exits.
 
-use bench::grid::run_scenario_timed;
-use bench::scenario::Scenario;
+use bench::grid::{run_scenario_timed, scenario_cell};
+use bench::scenario::{Scenario, Topology};
 use bench::store::Store;
+use cluster::SteppingMode;
 use cuttlefish::NodePolicy;
-use serve::protocol::{EventKind, JobState, Submission};
+use serve::protocol::{CellSubmission, EventKind, JobState, Submission};
 use serve::{Client, Server};
 use simproc::freq::HASWELL_2650V3;
 use std::path::PathBuf;
@@ -217,6 +218,48 @@ fn submissions_are_refused_while_draining_and_errors_are_typed() {
         .submit(Submission::Scenario(Box::new(scenario)))
         .expect_err("non-harness seeds are not store-addressable");
     assert!(err.contains("harness"), "diagnostic names the cause: {err}");
+
+    // A cell the runner would reject is refused at submit time rather
+    // than panicking a worker: a stepping mode on a single node.
+    let mut cell = scenario_cell(&tiny_scenario()).expect("embeddable");
+    cell.stepping = SteppingMode::Lockstep;
+    let err = client
+        .submit(Submission::Cell(Box::new(CellSubmission {
+            machine: HASWELL_2650V3.clone(),
+            scale: 0.01,
+            cell,
+        })))
+        .expect_err("single-node cells have no stepping mode");
+    assert!(
+        err.contains("stepping"),
+        "diagnostic names the cause: {err}"
+    );
+    // A trace on a multi-node cell, which only single nodes record.
+    let two_nodes = Scenario::bench("UTS", ProgModel::OpenMp, 0.01)
+        .nodes(2, &HASWELL_2650V3, NodePolicy::Default)
+        .build();
+    let mut cell = scenario_cell(&two_nodes).expect("embeddable");
+    cell.trace = true;
+    let err = client
+        .submit(Submission::Cell(Box::new(CellSubmission {
+            machine: HASWELL_2650V3.clone(),
+            scale: 0.01,
+            cell,
+        })))
+        .expect_err("multi-node cells record no trace");
+    assert!(err.contains("trace"), "diagnostic names the cause: {err}");
+    // The same through the scenario route: a one-node cluster scenario
+    // is valid, but its cell runs as a single node.
+    let mut scenario = tiny_scenario();
+    scenario.topology = Topology::Replicated;
+    scenario.stepping = SteppingMode::Lockstep;
+    let err = client
+        .submit(Submission::Scenario(Box::new(scenario)))
+        .expect_err("one-node cells have no stepping mode");
+    assert!(
+        err.contains("stepping"),
+        "diagnostic names the cause: {err}"
+    );
 
     client.shutdown().expect("shutdown");
     server.join().expect("clean exit");

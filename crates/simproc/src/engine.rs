@@ -35,9 +35,9 @@
 //!   time ([`Workload::next_wake_ns`]) rounded up to the quantum grid
 //!   while every core is parked, or `None` when the workload will
 //!   never produce work again.
-//! * [`SimProcessor::advance_idle`] / [`advance_idle_quanta`]
-//!   fast-forward a fully-parked machine across a homogeneous idle
-//!   stretch. The advance is *not* an approximation: it performs the
+//! * [`SimProcessor::advance_idle_quanta`] fast-forwards a
+//!   fully-parked machine across a homogeneous idle stretch. The
+//!   advance is *not* an approximation: it performs the
 //!   identical per-quantum arithmetic `step` would perform against a
 //!   workload that yields no chunks — the same frequency-control
 //!   application, the same floor-power computation, the same
@@ -48,9 +48,9 @@
 //!   RAPL counts, `(cf, uf)` residency, and `time_ns` are bit-identical
 //!   to stepping the same quanta one by one (enforced by
 //!   `tests/event_clock.rs`).
-//! * [`SimProcessor::advance_busy`] / [`advance_busy_quanta`]
-//!   fast-forward a *busy* stretch: a per-quantum replay of the exact
-//!   `step` execution body (shared code, so bit-identity holds by
+//! * [`SimProcessor::advance_busy_quanta`] fast-forwards a *busy*
+//!   stretch: a per-quantum replay of the exact `step` execution
+//!   body (shared code, so bit-identity holds by
 //!   construction — same chunk slicing, same `next_chunk` call order,
 //!   same repeated RAPL additions, same overload updates) with the
 //!   loop-invariant work hoisted out: pending frequency-control
@@ -79,9 +79,6 @@
 //! `Tinv` tick, the cluster barrier loops) interleave the advances
 //! with the controller's own scheduled events; see
 //! `cuttlefish::controller` for the coupling.
-//!
-//! [`advance_idle_quanta`]: SimProcessor::advance_idle_quanta
-//! [`advance_busy_quanta`]: SimProcessor::advance_busy_quanta
 
 use crate::freq::{Freq, MachineSpec};
 use crate::msr::{MsrError, MsrFile};
@@ -211,9 +208,9 @@ pub struct SimProcessor {
     last_stats: QuantumStats,
     /// Quanta executed by individual [`SimProcessor::step`] calls.
     stepped_quanta: u64,
-    /// Quanta absorbed analytically by [`SimProcessor::advance_idle`].
+    /// Quanta absorbed analytically by [`SimProcessor::advance_idle_quanta`].
     idle_advanced_quanta: u64,
-    /// Quanta absorbed analytically by [`SimProcessor::advance_busy`].
+    /// Quanta absorbed analytically by [`SimProcessor::advance_busy_quanta`].
     busy_advanced_quanta: u64,
     /// Rotates which core is served first each quantum so no core gets a
     /// systematic head start at pulling work.
@@ -330,15 +327,13 @@ impl SimProcessor {
     }
 
     /// Quanta absorbed analytically by the idle fast-forward
-    /// ([`advance_idle`](Self::advance_idle) /
-    /// [`advance_idle_quanta`](Self::advance_idle_quanta)).
+    /// ([`advance_idle_quanta`](Self::advance_idle_quanta)).
     pub fn idle_advanced_quanta(&self) -> u64 {
         self.idle_advanced_quanta
     }
 
     /// Quanta absorbed analytically by the busy fast-forward
-    /// ([`advance_busy`](Self::advance_busy) /
-    /// [`advance_busy_quanta`](Self::advance_busy_quanta)).
+    /// ([`advance_busy_quanta`](Self::advance_busy_quanta)).
     pub fn busy_advanced_quanta(&self) -> u64 {
         self.busy_advanced_quanta
     }
@@ -623,7 +618,7 @@ impl SimProcessor {
         }
         assert!(
             self.cores_parked(),
-            "advance_idle requires every core to be parked"
+            "advance_idle_quanta requires every core to be parked"
         );
         self.apply_frequency_controls();
 
@@ -672,15 +667,6 @@ impl SimProcessor {
         *self.residency.entry((self.cf.0, self.uf.0)).or_insert(0) += advanced_ns;
         self.time_ns += advanced_ns;
         self.idle_advanced_quanta += quanta;
-    }
-
-    /// Fast-forward an idle machine to at least `until_ns`, in whole
-    /// quanta (the clock overshoots to the next boundary exactly as a
-    /// per-quantum stepping loop would). No-op when `until_ns` is in
-    /// the past.
-    pub fn advance_idle(&mut self, until_ns: u64) {
-        let gap = until_ns.saturating_sub(self.time_ns);
-        self.advance_idle_quanta(gap.div_ceil(self.spec.quantum_ns));
     }
 
     /// Fast-forward up to `quanta` *busy* quanta analytically,
@@ -749,16 +735,6 @@ impl SimProcessor {
         executed
     }
 
-    /// Fast-forward a busy machine to at least `until_ns`, in whole
-    /// quanta (the clock overshoots to the next boundary exactly as a
-    /// per-quantum stepping loop would), stopping early if every core
-    /// parks. Returns the quanta absorbed; no-op when `until_ns` is in
-    /// the past.
-    pub fn advance_busy(&mut self, wl: &mut dyn Workload, until_ns: u64) -> u64 {
-        let gap = until_ns.saturating_sub(self.time_ns);
-        self.advance_busy_quanta(wl, gap.div_ceil(self.spec.quantum_ns))
-    }
-
     /// The earliest future virtual instant at which an *event* — a
     /// workload interaction or a state change a controller could react
     /// to differently — may occur:
@@ -775,11 +751,10 @@ impl SimProcessor {
     ///   produce work again (pure idling — only an external deadline
     ///   such as a cluster barrier bounds the advance).
     ///
-    /// This query is what puts a node on the cluster's global event
-    /// heap: `cluster::sched` treats each node as an `EventSource`
-    /// whose next timestamp is exactly this answer (clamped to at
-    /// least one quantum of progress), so the returned instants must
-    /// be sound — never *later* than the first real interaction.
+    /// `cuttlefish::controller::drive_quanta` sizes every fast-forward
+    /// by this answer — for single nodes and for each cluster node's
+    /// compute phase alike — so the returned instants must be sound:
+    /// never *later* than the first real interaction.
     pub fn next_event_ns(&self, wl: &dyn Workload) -> Option<u64> {
         let boundary = self.time_ns + self.spec.quantum_ns;
         if !self.cores_parked() {

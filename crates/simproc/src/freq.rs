@@ -6,7 +6,6 @@
 //! paper exposes 12 core levels (1.2–2.3 GHz) and 19 uncore levels
 //! (1.2–3.0 GHz).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::LazyLock;
 
@@ -14,7 +13,7 @@ use std::sync::LazyLock;
 ///
 /// `Freq(23)` is 2.3 GHz. Ordering and arithmetic are derived from the
 /// inner integer, so frequency comparisons are exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Freq(pub u32);
 
 impl Freq {
@@ -44,7 +43,7 @@ impl fmt::Display for Freq {
 
 /// An ordered, contiguous range of frequency levels for one domain
 /// (core or uncore).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FreqDomain {
     min: Freq,
     max: Freq,
@@ -134,7 +133,7 @@ impl FreqDomain {
 }
 
 /// Static description of a simulated machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineSpec {
     /// Human-readable model name.
     pub name: String,

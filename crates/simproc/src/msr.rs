@@ -30,7 +30,6 @@
 //! values of writable registers captured at session open and restored at
 //! close.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// `MSR_RAPL_POWER_UNIT`.
@@ -102,7 +101,7 @@ impl std::fmt::Display for MsrError {
 impl std::error::Error for MsrError {}
 
 /// The register file of one simulated package.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MsrFile {
     n_cores: usize,
     /// Exact accumulated package energy in joules (simulation ground
@@ -319,7 +318,7 @@ impl MsrFile {
 }
 
 /// Access rights for one allow-list entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Access {
     Read,
     ReadWrite,

@@ -31,13 +31,12 @@
 //! ~2.2 GHz falls out of (Table 2).
 
 use crate::freq::Freq;
-use serde::{Deserialize, Serialize};
 
 /// Bytes transferred per LLC miss (one cache line).
 pub const LINE_BYTES: f64 = 64.0;
 
 /// Per-workload cost profile attached to each chunk.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostProfile {
     /// Base cycles per instruction with all memory references hitting in
     /// cache. Vectorized streaming kernels sit near 0.5; dependent
@@ -62,7 +61,7 @@ impl Default for CostProfile {
 
 /// Machine-wide parameters of the timing model. Defaults reproduce the
 /// qualitative trends of the paper's Haswell testbed (DESIGN.md §6).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PerfModel {
     /// Uncore-clocked cycles on the LLC miss path.
     pub uncore_miss_cycles: f64,

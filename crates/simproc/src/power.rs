@@ -25,10 +25,9 @@
 //! 105 W TDP class of the paper's Xeon E5-2650 v3.
 
 use crate::freq::{Freq, FreqDomain};
-use serde::{Deserialize, Serialize};
 
 /// Linear voltage/frequency operating curve for one domain.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VoltCurve {
     /// Voltage at the domain's minimum frequency.
     pub v_min: f64,
@@ -61,7 +60,7 @@ impl VoltCurve {
 }
 
 /// Parameters of the package power model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PowerModel {
     /// Package static power independent of both domains, watts.
     pub p_base: f64,

@@ -1,6 +1,6 @@
 //! Property-style equivalence suite for the virtual-clock layer:
 //! event-driven stepping (fast-forwarding parked stretches through
-//! `advance_idle` and busy steady-state stretches through
+//! `advance_idle_quanta` and busy steady-state stretches through
 //! `advance_busy_quanta`) must produce *bit-identical* energy,
 //! instruction, residency, and clock state to the pure quantum loop,
 //! over seeded pseudo-random workload schedules.
@@ -283,17 +283,4 @@ fn advance_equals_stepping_from_randomized_machine_states() {
             "seed {seed}: {idle} idle quanta must accumulate identically"
         );
     }
-}
-
-#[test]
-fn advance_idle_until_overshoots_to_the_boundary_like_stepping() {
-    let mut p = SimProcessor::new(HASWELL_2650V3.clone());
-    let q = p.spec().quantum_ns;
-    // A deadline mid-quantum: the clock lands on the next boundary,
-    // exactly as a step loop that only stops at boundaries would.
-    p.advance_idle(q * 7 + 1);
-    assert_eq!(p.now_ns(), q * 8);
-    // A deadline in the past is a no-op.
-    p.advance_idle(q * 3);
-    assert_eq!(p.now_ns(), q * 8);
 }

@@ -1,8 +1,8 @@
 //! Declarative workload descriptions — the `workload` field of a
 //! `bench::scenario::Scenario`.
 //!
-//! A [`WorkloadSpec`] is plain data (`Clone + PartialEq`, serde-ready)
-//! naming *what* runs: either one of the paper's Table 1 benchmarks at
+//! A [`WorkloadSpec`] is plain data (`Clone + PartialEq`, with a JSON
+//! codec in `bench::scenario`) naming *what* runs: either one of the paper's Table 1 benchmarks at
 //! a given scale under a programming model, or a synthetic chunk
 //! stream described phase by phase. [`WorkloadSpec::build`] turns the
 //! description into the schedulable [`Workload`] the engine steps —
@@ -10,13 +10,12 @@
 //! `--scenario` CLI, the examples, and the equivalence tests.
 
 use crate::{openmp_suite, Benchmark, ProgModel, Scale};
-use serde::{Deserialize, Serialize};
 use simproc::engine::{Chunk, Workload};
 use simproc::perf::CostProfile;
 
 /// One phase of a synthetic chunk stream: `chunks` identical chunks
 /// with the given counter footprint and cost profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChunkPhase {
     /// Chunks handed out per cycle of this phase.
     pub chunks: u64,
@@ -68,7 +67,7 @@ impl ChunkPhase {
 /// A synthetic workload: the listed phases cycled in order until
 /// `total_chunks` chunks were handed out (`None` = an endless stream —
 /// pair it with a scenario duration).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticSpec {
     /// Phases cycled in order.
     pub phases: Vec<ChunkPhase>,
@@ -150,7 +149,7 @@ impl Workload for SyntheticWorkload {
 }
 
 /// Declarative description of what a scenario runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadSpec {
     /// One Table 1 benchmark, resolved by name, instantiated under
     /// `model` at `scale` (1.0 = the paper's full-length runs).
