@@ -136,6 +136,20 @@ for bin in $BINS; do
     --smoke --store "$SMOKE_STORE" --json "$SMOKE_DIR/$bin.json" >/dev/null
 done
 COLD_NS=$(($(date +%s%N) - COLD_START))
+stage "bench smoke: grid shard invariance"
+# The grid counterpart of the fuzz stage's shard cmp: one grid on one
+# thread and on four must write identical bytes. fig10's smoke grid
+# covers single-node, 2-node replicated, 4-node BSP, mixed-fleet,
+# Oracle and PidUncore cells. (Written outside $SMOKE_DIR, so the
+# aggregate glob below never picks the copies up.)
+SHARD_DIR=target/grid-shards
+rm -rf "$SHARD_DIR"
+mkdir -p "$SHARD_DIR"
+for shards in 1 4; do
+  ./target/release/fig10 --smoke --no-store --shards "$shards" \
+    --json "$SHARD_DIR/shard$shards.json" >/dev/null
+done
+cmp "$SHARD_DIR/shard1.json" "$SHARD_DIR/shard4.json"
 stage "bench smoke: validate + aggregate"
 # (the *.json glob expands before the aggregate file exists, and the
 # .timing sidecars end in .timing, so exactly the ten bin artifacts match)

@@ -1091,40 +1091,12 @@ fn case_json(case: &CaseOutcome) -> Json {
 /// index order, so the outcome vector — and therefore the report —
 /// is bit-identical for any shard count.
 pub fn run_campaign(config: &CampaignConfig) -> Campaign {
-    let scenarios: Vec<Scenario> = (0..config.cases)
-        .map(|i| generate(config.seed, i))
-        .collect();
-    let queue = crossbeam::deque::Injector::new();
-    for i in 0..scenarios.len() {
-        queue.push(i);
-    }
-    let shards = config.shards.max(1);
-    let done: std::sync::Mutex<Vec<(usize, CaseOutcome)>> = std::sync::Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..shards {
-            scope.spawn(|| loop {
-                match queue.steal() {
-                    crossbeam::deque::Steal::Success(i) => {
-                        let outcome =
-                            run_case(i as u64, &scenarios[i], &config.governors, &config.tol);
-                        done.lock().unwrap().push((i, outcome));
-                    }
-                    crossbeam::deque::Steal::Empty => break,
-                    crossbeam::deque::Steal::Retry => {}
-                }
-            });
-        }
-    });
-    let mut slots: Vec<Option<CaseOutcome>> = (0..scenarios.len()).map(|_| None).collect();
-    for (i, outcome) in done.into_inner().unwrap() {
-        slots[i] = Some(outcome);
-    }
+    let indices: Vec<u64> = (0..config.cases).collect();
     Campaign {
         config: config.clone(),
-        outcomes: slots
-            .into_iter()
-            .map(|s| s.expect("every queued case completes"))
-            .collect(),
+        outcomes: crate::par_map(&indices, config.shards, |&i| {
+            run_case(i, &generate(config.seed, i), &config.governors, &config.tol)
+        }),
     }
 }
 

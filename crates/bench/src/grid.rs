@@ -9,9 +9,9 @@
 //! `benchmarks × fleets × setups × reps` over scenario fields (the
 //! [`Fleet`] axis covers node counts, heterogeneous per-node machines,
 //! and bulk-synchronous decompositions — no hand-built special-case
-//! cells). [`GridSpec::run`] executes the enumerated cells on a
-//! work-stealing pool (the crossbeam shim's `Injector` feeds cell
-//! indices to `--shards` threads), each cell running through
+//! cells). [`GridSpec::run`] executes the enumerated cells on
+//! `--shards` threads that take cell indices from a shared cursor
+//! ([`par_map`](crate::par_map)), each cell running through
 //! [`Scenario::run`], and [`GridResult`] carries the per-cell
 //! measurements in *cell-enumeration order* regardless of which thread
 //! ran what — so the serialized artifact is byte-identical for any
@@ -24,13 +24,11 @@
 use crate::json::{FromJson, Json, JsonError, ToJson};
 use crate::scenario::{arr, from_arr, from_opt_u32, obj, opt_u32, Scenario, ScenarioOutcome};
 use crate::store::{CellKey, Store};
-use crate::{RunOutcome, Setup, TracePoint, HARNESS_SEED};
+use crate::{par_map, RunOutcome, Setup, TracePoint, HARNESS_SEED};
 use cluster::SteppingMode;
-use crossbeam::deque::{Injector, Steal};
 use cuttlefish::controller::{OracleDerivation, OracleTable, PidGains, TraceSample};
 use cuttlefish::Config;
 use simproc::freq::{Freq, FreqDomain, MachineSpec, HASWELL_2650V3};
-use std::sync::Mutex;
 use std::time::Instant;
 use workloads::{hclib_suite, openmp_suite, Benchmark, ProgModel, Scale, WorkloadSpec};
 
@@ -269,7 +267,7 @@ impl GridSpec {
 
     /// Execute every cell across `shards` worker threads and aggregate.
     ///
-    /// Cells are handed out through a shared work queue, so stragglers
+    /// Cells are handed out through a shared cursor, so stragglers
     /// don't serialize behind a fixed partition; results are reassembled
     /// in enumeration order, making the aggregate — and its serialized
     /// bytes — independent of the shard count.
@@ -288,21 +286,8 @@ impl GridSpec {
     }
 
     /// [`run_timed`](GridSpec::run_timed) through a content-addressed
-    /// result [`Store`]. Cells are partitioned up front into *hits*
-    /// (entry loaded and digest-verified — replayed without executing)
-    /// and *misses* (executed on the shard pool, then committed). The
-    /// aggregate is reassembled in cell-enumeration order either way,
-    /// so the artifact bytes are identical for any store state and any
-    /// shard count; only `GridTiming` sees the difference (hit/miss
-    /// counters, near-zero hit wall-clocks, restored stepping
-    /// counters).
-    ///
-    /// Misses are dispatched longest-processing-time-first using each
-    /// cell's last recorded compute wall-clock from the store (cells
-    /// never computed here go first, at estimated-max) — the classic
-    /// LPT makespan heuristic, which stops a long cell stolen last
-    /// from serializing the tail of a wide shard pool. With no store
-    /// the queue keeps the historical enumeration-order FIFO.
+    /// result [`Store`]: the grid's cells through [`run_cells`], after
+    /// checking the benchmark axis against the suite.
     pub fn run_timed_store(
         &self,
         shards: usize,
@@ -320,169 +305,105 @@ impl GridSpec {
                 cell.bench
             );
         }
+        run_cells(&self.name, &self.machine, self.scale, &cells, shards, store)
+    }
+}
 
-        let wall = Instant::now();
-
-        // Hit partition: replay every verified entry, queue the rest.
-        // The probe itself runs on the shard pool — loads are
-        // independent reads, and on a warm run the parse + digest
-        // check of large traced entries *is* the grid's wall-clock.
-        struct Miss {
-            idx: usize,
-            key: Option<CellKey>,
-            est_ms: f64,
-        }
-        let mut slots: Vec<Option<(CellResult, CellTiming)>> = Vec::new();
-        slots.resize_with(cells.len(), || None);
-        let mut hits: u64 = 0;
-        let mut misses: Vec<Miss> = Vec::new();
-        if let Some(store) = store {
-            let probe_queue: Injector<usize> = Injector::new();
-            for idx in 0..cells.len() {
-                probe_queue.push(idx);
-            }
-            type Probe = (usize, CellKey, Option<(Box<crate::store::StoreEntry>, f64)>);
-            let probed: Mutex<Vec<Probe>> = Mutex::new(Vec::with_capacity(cells.len()));
-            let probe_workers = shards.clamp(1, cells.len().max(1));
-            std::thread::scope(|scope| {
-                for _ in 0..probe_workers {
-                    scope.spawn(|| loop {
-                        let idx = match probe_queue.steal() {
-                            Steal::Success(idx) => idx,
-                            Steal::Empty => break,
-                            Steal::Retry => continue,
-                        };
-                        let load_wall = Instant::now();
-                        let key = store.key(&cells[idx].store_identity(&self.machine, self.scale));
-                        let outcome = store.load(&key).map(|entry| {
-                            (Box::new(entry), load_wall.elapsed().as_secs_f64() * 1e3)
-                        });
-                        probed
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .push((idx, key, outcome));
-                    });
-                }
+/// Run `cells` on `machine` at `scale` across `shards` worker threads
+/// and aggregate them as grid `name` — the one batch runner, behind
+/// every grid bin and the `--scenario` path.
+///
+/// With a [`Store`], cells are partitioned up front into *hits* (entry
+/// loaded and digest-verified — replayed without executing) and
+/// *misses* (executed, then committed). The aggregate is reassembled
+/// in cell order either way, so the artifact bytes are identical for
+/// any store state and any shard count; only `GridTiming` sees the
+/// difference (hit/miss counters, near-zero hit wall-clocks, restored
+/// stepping counters).
+///
+/// Misses are dispatched longest-processing-time-first using each
+/// cell's last recorded compute wall-clock from the store (cells never
+/// computed here go first, at estimated-max) — the classic LPT
+/// makespan heuristic, which stops a long cell started last from
+/// serializing the tail of a wide shard pool. With no store the misses
+/// keep cell order.
+pub fn run_cells(
+    name: &str,
+    machine: &MachineSpec,
+    scale: f64,
+    cells: &[CellSpec],
+    shards: usize,
+    store: Option<&Store>,
+) -> (GridResult, GridTiming) {
+    let wall = Instant::now();
+    let mut slots: Vec<Option<(CellResult, CellTiming)>> = Vec::new();
+    slots.resize_with(cells.len(), || None);
+    // Misses as (cell index, store key, LPT cost estimate).
+    let mut misses: Vec<(usize, Option<CellKey>, f64)> = Vec::new();
+    match store {
+        // The probe runs on the pool too: loads are independent reads,
+        // and on a warm run the parse + digest check of large traced
+        // entries *is* the grid's wall-clock.
+        Some(store) => {
+            let probes = par_map(cells, shards, |cell| {
+                let load_wall = Instant::now();
+                let key = store.key(&cell.store_identity(machine, scale));
+                let hit = store
+                    .load(&key)
+                    .map(|entry| entry.replay(load_wall.elapsed().as_secs_f64() * 1e3));
+                (key, hit)
             });
-            let mut probed = probed
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            // Completion order is racy; re-establish enumeration order
-            // so the miss queue (and everything downstream) stays
-            // shard-invariant.
-            probed.sort_by_key(|p| p.0);
-            for (idx, key, outcome) in probed {
-                match outcome {
-                    Some((entry, load_ms)) => {
-                        let [stepped, idle, busy, total] = entry.quanta;
-                        slots[idx] = Some((
-                            entry.result,
-                            CellTiming {
-                                wall_ms: load_ms,
-                                cached: true,
-                                stepped_quanta: stepped,
-                                idle_advanced_quanta: idle,
-                                busy_advanced_quanta: busy,
-                                total_quanta: total,
-                            },
-                        ));
-                        hits += 1;
-                    }
+            for (idx, (key, hit)) in probes.into_iter().enumerate() {
+                match hit {
+                    Some(hit) => slots[idx] = Some(hit),
                     None => {
                         let est_ms = store.wall_hint(&key).unwrap_or(f64::INFINITY);
-                        misses.push(Miss {
-                            idx,
-                            key: Some(key),
-                            est_ms,
-                        });
+                        misses.push((idx, Some(key), est_ms));
                     }
                 }
             }
-        } else {
-            misses.extend((0..cells.len()).map(|idx| Miss {
-                idx,
-                key: None,
-                est_ms: f64::INFINITY,
-            }));
         }
-        let n_misses = misses.len() as u64;
-
-        // LPT order: descending cost estimate; the sort is stable, so
-        // unknown-cost cells (and the whole storeless path, where every
-        // estimate is +inf) stay in enumeration order.
-        let mut order: Vec<usize> = (0..misses.len()).collect();
-        order.sort_by(|&a, &b| {
-            misses[b]
-                .est_ms
-                .partial_cmp(&misses[a].est_ms)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let queue: Injector<usize> = Injector::new();
-        for mi in order {
-            queue.push(mi);
-        }
-        let workers = shards.clamp(1, misses.len().max(1));
-        let collected: Mutex<Vec<(usize, CellResult, CellTiming)>> =
-            Mutex::new(Vec::with_capacity(misses.len()));
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let mi = match queue.steal() {
-                        Steal::Success(mi) => mi,
-                        Steal::Empty => break,
-                        Steal::Retry => continue,
-                    };
-                    let miss = &misses[mi];
-                    let (result, timing) =
-                        run_cell_timed(&self.machine, self.scale, &cells[miss.idx]);
-                    if let (Some(store), Some(key)) = (store, &miss.key) {
-                        // A full store is a perf bug, not a result bug:
-                        // warn and keep computing.
-                        if let Err(e) = store.commit(key, &result, &timing) {
-                            eprintln!(
-                                "warning: store commit failed for {} ({e}); continuing uncached",
-                                key.hex()
-                            );
-                        }
-                    }
-                    collected
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push((miss.idx, result, timing));
-                });
-            }
-        });
-        let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-
-        let computed = collected
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for (idx, result, timing) in computed {
-            slots[idx] = Some((result, timing));
-        }
-        let (cells, timings): (Vec<CellResult>, Vec<CellTiming>) = slots
-            .into_iter()
-            .map(|slot| slot.expect("every cell is a hit or a computed miss"))
-            .unzip();
-        (
-            GridResult {
-                grid: self.name.clone(),
-                scale: self.scale,
-                machine: self.machine.name.clone(),
-                cells,
-            },
-            GridTiming {
-                grid: self.name.clone(),
-                wall_ms,
-                cells: timings,
-                cache: store.map(|_| CacheStats {
-                    hits,
-                    misses: n_misses,
-                }),
-            },
-        )
+        None => misses.extend((0..cells.len()).map(|idx| (idx, None, f64::INFINITY))),
     }
+    let n_misses = misses.len() as u64;
+
+    // LPT order: descending cost estimate; the sort is stable, so
+    // unknown-cost cells (and the whole storeless path, where every
+    // estimate is +inf) stay in cell order.
+    misses.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
+    let computed = par_map(&misses, shards, |(idx, key, _)| {
+        let (result, timing) = run_cell_timed(machine, scale, &cells[*idx]);
+        if let (Some(store), Some(key)) = (store, key) {
+            store.commit_or_warn(key, &result, &timing);
+        }
+        (result, timing)
+    });
+    let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
+
+    for ((idx, ..), cell) in misses.iter().zip(computed) {
+        slots[*idx] = Some(cell);
+    }
+    let (results, timings): (Vec<CellResult>, Vec<CellTiming>) = slots
+        .into_iter()
+        .map(|slot| slot.expect("every cell is a hit or a computed miss"))
+        .unzip();
+    (
+        GridResult {
+            grid: name.to_string(),
+            scale,
+            machine: machine.name.clone(),
+            cells: results,
+        },
+        GridTiming {
+            grid: name.to_string(),
+            wall_ms,
+            cells: timings,
+            cache: store.map(|_| CacheStats {
+                hits: cells.len() as u64 - n_misses,
+                misses: n_misses,
+            }),
+        },
+    )
 }
 
 /// The paper's four §5 setups in presentation order, Default first —
@@ -592,6 +513,9 @@ impl CellSpec {
                 "stepping `{}` is only defined for multi-node cells",
                 self.stepping.as_str()
             ));
+        }
+        if self.nodes == 1 && self.bsp.is_some() {
+            return Err("a bsp decomposition is only defined for multi-node cells".into());
         }
         if self.trace && self.nodes != 1 {
             return Err("traces are only defined for single-node cells".into());
@@ -752,10 +676,9 @@ impl CellSpec {
 /// (the `--scenario` CLI path). The mapping back onto the cell format
 /// is total for everything the grid axes produce; scenarios using
 /// features the cell format cannot express (per-node policies,
-/// non-harness seeds, BSP weights, synthetic workloads) and cells that
-/// [`CellSpec::validate`] rejects (a non-default stepping mode on a
-/// one-node cluster, which the cell format runs as a single node) are
-/// reported as errors.
+/// non-harness seeds, BSP weights, synthetic workloads), cells that
+/// [`CellSpec::validate`] rejects, and one-node clusters, which the
+/// cell format would run as a single node, are reported as errors.
 pub fn scenario_cell(scenario: &Scenario) -> Result<CellSpec, String> {
     let Some(rep) = scenario.rep() else {
         return Err(
@@ -822,67 +745,44 @@ pub fn scenario_cell(scenario: &Scenario) -> Result<CellSpec, String> {
         stepping: scenario.stepping,
     };
     cell.validate()?;
+    if cell.nodes == 1 && scenario.topology != crate::scenario::Topology::SingleNode {
+        return Err(
+            "a one-node cluster runs as a single node in a grid artifact; \
+             give it the `single-node` topology"
+                .into(),
+        );
+    }
     Ok(cell)
 }
 
+/// Name of the one-cell grid a free-standing scenario runs as. The
+/// `--scenario` path and the serve daemon both name their artifact
+/// here, which keeps a scenario file and a serve submission of the
+/// same cell byte-identical.
+pub fn scenario_grid(label: &str) -> String {
+    format!("scenario:{label}")
+}
+
 /// Run a free-standing scenario into a one-cell [`GridResult`] — the
-/// `--scenario` CLI path. The cell executes through exactly the code
-/// the grid runner uses — including the result store when one is
-/// given (a scenario identical to a previously-run grid cell is a
-/// hit) — so a scenario file describing a grid cell reproduces that
-/// cell's artifact bytes bit for bit.
+/// `--scenario` CLI path. The cell is a one-cell [`run_cells`] batch,
+/// so it executes through exactly the code the grid runner uses —
+/// including the result store when one is given (a scenario identical
+/// to a previously-run grid cell is a hit) — and a scenario file
+/// describing a grid cell reproduces that cell's artifact bytes bit
+/// for bit.
 pub fn run_scenario_timed(
     scenario: &Scenario,
     store: Option<&Store>,
 ) -> Result<(GridResult, GridTiming), String> {
     scenario.validate()?;
     let cell = scenario_cell(scenario)?;
-    let machine = scenario.nodes[0].0.clone();
-    let scale = scenario.workload.scale();
-    let wall = Instant::now();
-    let key = store.map(|s| s.key(&cell.store_identity(&machine, scale)));
-    let (result, timing, hit) = match store.zip(key).and_then(|(store, key)| store.load(&key)) {
-        Some(entry) => {
-            let [stepped, idle, busy, total] = entry.quanta;
-            let timing = CellTiming {
-                wall_ms: wall.elapsed().as_secs_f64() * 1e3,
-                cached: true,
-                stepped_quanta: stepped,
-                idle_advanced_quanta: idle,
-                busy_advanced_quanta: busy,
-                total_quanta: total,
-            };
-            (entry.result, timing, true)
-        }
-        None => {
-            let (result, timing) = run_cell_timed(&machine, scale, &cell);
-            if let (Some(store), Some(key)) = (store, &key) {
-                if let Err(e) = store.commit(key, &result, &timing) {
-                    eprintln!(
-                        "warning: store commit failed for {} ({e}); continuing uncached",
-                        key.hex()
-                    );
-                }
-            }
-            (result, timing, false)
-        }
-    };
-    Ok((
-        GridResult {
-            grid: format!("scenario:{}", scenario.label),
-            scale,
-            machine: machine.name,
-            cells: vec![result],
-        },
-        GridTiming {
-            grid: format!("scenario:{}", scenario.label),
-            wall_ms: timing.wall_ms,
-            cells: vec![timing],
-            cache: store.map(|_| CacheStats {
-                hits: u64::from(hit),
-                misses: u64::from(!hit),
-            }),
-        },
+    Ok(run_cells(
+        &scenario_grid(&scenario.label),
+        &scenario.nodes[0].0,
+        scenario.workload.scale(),
+        &[cell],
+        1,
+        store,
     ))
 }
 

@@ -11,6 +11,8 @@
 use cuttlefish::controller::{NodePolicy, PidGains};
 use cuttlefish::{Config, Policy};
 use simproc::freq::Freq;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 pub mod cli;
 pub mod fuzz;
@@ -199,6 +201,39 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
         out.push('\n');
     }
     out
+}
+
+/// Map `f` over `items` on up to `shards` scoped threads (min 1) and
+/// return the results in input order — the one pool behind every
+/// `--shards` option.
+///
+/// Threads take the next index from a shared cursor, so items start
+/// in input order and a slow one never holds up a fixed partition;
+/// each result is written into its input's slot, so the output is the
+/// same for any shard count.
+pub fn par_map<T: Sync, R: Send + Sync>(
+    items: &[T],
+    shards: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    // The cursor publishes no data: results travel through the slots,
+    // and the scope's join orders them before the reads below.
+    let cursor = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<R>> = items.iter().map(|_| OnceLock::new()).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..shards.clamp(1, items.len().max(1)) {
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                // Each index is claimed once, so the slot is empty.
+                let _ = slots[i].set(f(item));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every index is claimed"))
+        .collect()
 }
 
 /// Scale for harness binaries: `CUTTLEFISH_SCALE` env var, default 1.0

@@ -113,6 +113,26 @@ pub struct StoreEntry {
     pub wall_ms: f64,
 }
 
+impl StoreEntry {
+    /// Replay the entry as an executed cell: its result, plus a
+    /// `cached` timing that restores the committing run's quanta and
+    /// records `load_ms`, what the hit itself took, as its wall-clock.
+    pub fn replay(self, load_ms: f64) -> (CellResult, CellTiming) {
+        let [stepped, idle, busy, total] = self.quanta;
+        (
+            self.result,
+            CellTiming {
+                wall_ms: load_ms,
+                cached: true,
+                stepped_quanta: stepped,
+                idle_advanced_quanta: idle,
+                busy_advanced_quanta: busy,
+                total_quanta: total,
+            },
+        )
+    }
+}
+
 /// Cheap per-entry metadata for `store ls`/`verify`/`gc`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EntryMeta {
@@ -366,6 +386,23 @@ impl Store {
             ("wall_ms", Json::Num(timing.wall_ms)),
         ]);
         write_atomic(&self.hint_path(key), &hint.to_pretty())
+    }
+
+    /// [`commit`](Store::commit) for a caller that has its result
+    /// either way: a full or unwritable store is a performance bug, not
+    /// a result bug, so a failure is warned about and the caller
+    /// continues uncached. Returns whether the entry was committed.
+    pub fn commit_or_warn(&self, key: &CellKey, result: &CellResult, timing: &CellTiming) -> bool {
+        match self.commit(key, result, timing) {
+            Ok(()) => true,
+            Err(e) => {
+                eprintln!(
+                    "warning: store commit failed for {} ({e}); continuing uncached",
+                    key.hex()
+                );
+                false
+            }
+        }
     }
 
     /// Last recorded compute wall-clock for this cell identity, under

@@ -270,18 +270,24 @@ fn malformed_scenario_files_are_rejected() {
 #[test]
 fn one_node_cluster_with_a_stepping_mode_is_refused_by_the_grid_path() {
     // The cell format runs a one-node cell as a single node, which has
-    // no stepping mode. A one-node cluster scenario pinning one is a
-    // valid scenario, but the `--scenario` path must refuse it with an
-    // error rather than panic when the cell expands.
-    for topology in [Topology::Replicated, Topology::bsp(2, 0.0)] {
+    // no stepping mode, no exchange and no final barrier. A one-node
+    // cluster scenario is valid, but the `--scenario` path must refuse
+    // it with an error rather than panic when the cell expands or
+    // silently drop its topology.
+    for (topology, stepping, cause) in [
+        (Topology::Replicated, SteppingMode::Lockstep, "stepping"),
+        (Topology::bsp(2, 0.0), SteppingMode::Lockstep, "stepping"),
+        (Topology::Replicated, SteppingMode::default(), "single-node"),
+        (Topology::bsp(2, 0.0), SteppingMode::default(), "multi-node"),
+    ] {
         let mut s = Scenario::bench("Heat-ws", ProgModel::OpenMp, 0.02)
             .policy(NodePolicy::Default)
             .build();
         s.topology = topology;
-        s.stepping = SteppingMode::Lockstep;
+        s.stepping = stepping;
         s.validate().expect("a valid scenario");
-        let err = run_scenario_timed(&s, None).expect_err("a one-node cell has no stepping mode");
-        assert!(err.contains("stepping"), "{err}");
+        let err = run_scenario_timed(&s, None).expect_err("a one-node cell is a single node");
+        assert!(err.contains(cause), "{err}");
     }
 }
 

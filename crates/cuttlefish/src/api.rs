@@ -15,10 +15,9 @@
 
 use crate::backend::PowerBackend;
 use crate::daemon::{Daemon, NodeReport};
-use crate::Config;
-use parking_lot::Mutex;
+use crate::{lock, Config};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -43,19 +42,19 @@ impl Handle {
     /// no racy post-join [`report`](Handle::report) read.
     pub fn stop(mut self) -> Vec<NodeReport> {
         self.shutdown();
-        self.published.lock().report.clone()
+        lock(&self.published).report.clone()
     }
 
     /// Current per-TIPI-range report (Table 2 view) — refreshed each
     /// `Tinv` by the daemon while running; [`stop`](Handle::stop)
     /// returns the final one.
     pub fn report(&self) -> Vec<NodeReport> {
-        self.published.lock().report.clone()
+        lock(&self.published).report.clone()
     }
 
     /// Total samples the daemon has processed.
     pub fn total_samples(&self) -> u64 {
-        self.published.lock().total_samples
+        lock(&self.published).total_samples
     }
 
     /// Idempotent: the join handle is taken exactly once, so a
@@ -63,9 +62,9 @@ impl Handle {
     /// any repeated drop path) is a no-op. A daemon that panicked
     /// mid-publish leaves the join `Err` (swallowed — the handle's
     /// job is shutdown, not re-raising) and possibly a poisoned
-    /// publish mutex; the parking_lot-style lock recovers poisoned
-    /// state instead of panicking, so the final report read above
-    /// still returns the last consistent publication.
+    /// publish mutex; [`lock`](crate::lock) recovers poisoned state
+    /// instead of panicking, so the final report read above still
+    /// returns the last consistent publication.
     fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(t) = self.thread.take() {
@@ -113,7 +112,7 @@ pub fn start<B: PowerBackend + 'static>(mut backend: B, cfg: Config) -> Handle {
                 if let Some(sample) = backend.sample() {
                     let (cf, uf) = daemon.tick(sample);
                     backend.set_frequencies(cf, uf);
-                    let mut p = published2.lock();
+                    let mut p = lock(&published2);
                     p.report = daemon.report();
                     p.total_samples = daemon.total_samples();
                 }
@@ -122,7 +121,7 @@ pub fn start<B: PowerBackend + 'static>(mut backend: B, cfg: Config) -> Handle {
             // arriving during warm-up) still observes the daemon's
             // complete learned state.
             {
-                let mut p = published2.lock();
+                let mut p = lock(&published2);
                 p.report = daemon.report();
                 p.total_samples = daemon.total_samples();
             }
@@ -178,7 +177,7 @@ mod tests {
         let chunk = Chunk::new(1_000_000, 56_000, 8_000).with_profile(CostProfile::new(0.55, 12.0));
         for _ in 0..400 {
             {
-                let mut p = proc.lock();
+                let mut p = lock(&proc);
                 let mut wl = Steady(chunk.clone());
                 for _ in 0..5 {
                     p.step(&mut wl);
@@ -194,7 +193,7 @@ mod tests {
         let report = handle.stop();
         assert!(!report.is_empty());
         // After stop, the session restore puts the controls back.
-        let mut p = proc.lock();
+        let mut p = lock(&proc);
         let mut wl = Steady(chunk);
         p.step(&mut wl);
         assert_eq!(p.core_freq(), Freq(23));

@@ -6,11 +6,12 @@
 //! trait keeps the daemon portable: a real `/dev/msr`-backed
 //! implementation would slot in without touching the algorithm.
 
+use crate::lock;
 use simproc::freq::{Freq, FreqDomain};
 use simproc::msr::{Access, MsrSession};
 use simproc::profile::{delta, CounterSnapshot, Sample};
 use simproc::SimProcessor;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The platform interface the real-time API ([`crate::api`]) drives.
 pub trait PowerBackend: Send {
@@ -32,16 +33,16 @@ pub trait PowerBackend: Send {
 /// the backend only reads counters and writes frequency controls, via
 /// an allow-listed [`MsrSession`] exactly like the real library.
 pub struct SharedSimBackend {
-    proc: Arc<parking_lot::Mutex<SimProcessor>>,
+    proc: Arc<Mutex<SimProcessor>>,
     session: MsrSession,
     last: Option<CounterSnapshot>,
 }
 
 impl SharedSimBackend {
     /// Open a session over the shared processor.
-    pub fn new(proc: Arc<parking_lot::Mutex<SimProcessor>>) -> Self {
+    pub fn new(proc: Arc<Mutex<SimProcessor>>) -> Self {
         let session = {
-            let p = proc.lock();
+            let p = lock(&proc);
             MsrSession::open(p.msr_file(), &MsrSession::cuttlefish_allowlist())
         };
         SharedSimBackend {
@@ -54,12 +55,12 @@ impl SharedSimBackend {
 
 impl PowerBackend for SharedSimBackend {
     fn domains(&self) -> (FreqDomain, FreqDomain) {
-        let p = self.proc.lock();
+        let p = lock(&self.proc);
         (p.spec().core.clone(), p.spec().uncore.clone())
     }
 
     fn sample(&mut self) -> Option<Sample> {
-        let p = self.proc.lock();
+        let p = lock(&self.proc);
         let now = CounterSnapshot::capture(&p).ok()?;
         drop(p);
         let out = self.last.as_ref().and_then(|prev| delta(prev, &now));
@@ -69,7 +70,7 @@ impl PowerBackend for SharedSimBackend {
 
     fn set_frequencies(&mut self, cf: Freq, uf: Freq) {
         use simproc::msr::{MsrFile, IA32_PERF_CTL, MSR_UNCORE_RATIO_LIMIT};
-        let mut p = self.proc.lock();
+        let mut p = lock(&self.proc);
         let file = p.msr_file_mut();
         let _ = self
             .session
@@ -82,7 +83,7 @@ impl PowerBackend for SharedSimBackend {
     }
 
     fn restore(&mut self) {
-        let mut p = self.proc.lock();
+        let mut p = lock(&self.proc);
         self.session.restore(p.msr_file_mut());
     }
 }
@@ -111,9 +112,7 @@ mod tests {
 
     #[test]
     fn shared_backend_samples_and_sets() {
-        let proc = Arc::new(parking_lot::Mutex::new(SimProcessor::new(
-            HASWELL_2650V3.clone(),
-        )));
+        let proc = Arc::new(Mutex::new(SimProcessor::new(HASWELL_2650V3.clone())));
         let mut backend = SharedSimBackend::new(proc.clone());
 
         // First sample call establishes the baseline.
@@ -121,7 +120,7 @@ mod tests {
 
         // Advance virtual time.
         {
-            let mut p = proc.lock();
+            let mut p = lock(&proc);
             let mut wl = Steady;
             for _ in 0..20 {
                 p.step(&mut wl);
@@ -132,7 +131,7 @@ mod tests {
 
         backend.set_frequencies(Freq(15), Freq(20));
         {
-            let mut p = proc.lock();
+            let mut p = lock(&proc);
             let mut wl = Steady;
             p.step(&mut wl);
             assert_eq!(p.core_freq(), Freq(15));
@@ -141,7 +140,7 @@ mod tests {
 
         backend.restore();
         {
-            let mut p = proc.lock();
+            let mut p = lock(&proc);
             let mut wl = Steady;
             p.step(&mut wl);
             assert_eq!(p.core_freq(), Freq(23), "restore puts controls back");
@@ -151,9 +150,7 @@ mod tests {
 
     #[test]
     fn domains_match_machine() {
-        let proc = Arc::new(parking_lot::Mutex::new(SimProcessor::new(
-            HASWELL_2650V3.clone(),
-        )));
+        let proc = Arc::new(Mutex::new(SimProcessor::new(HASWELL_2650V3.clone())));
         let backend = SharedSimBackend::new(proc);
         let (c, u) = backend.domains();
         assert_eq!(c.len(), 12);

@@ -79,6 +79,13 @@ pub use controller::{
 pub use daemon::Daemon;
 pub use tipi::TipiSlab;
 
+/// Lock `m`, recovering the guard if a thread panicked while holding
+/// it: a daemon that dies mid-publish must not turn the caller's final
+/// report read, or the platform restore, into a panic.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Which frequency domains Cuttlefish is allowed to adapt — the three
 /// build-time variants of the paper's §5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

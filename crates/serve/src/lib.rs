@@ -17,11 +17,12 @@
 //!   daemon and the batch bins share one cache.
 //!
 //! The dispatch discipline is the grid runner's
-//! ([`GridSpec::run_timed_store`](bench::grid::GridSpec::run_timed_store)):
-//! longest-estimated-first, unknown costs first, first-submitted on
-//! ties. The grid sorts its whole (static) queue once and feeds a FIFO;
-//! the daemon's queue is live, so each worker instead picks the current
-//! maximum under the job-table lock — same order, dynamic arrivals.
+//! ([`run_cells`](bench::grid::run_cells)): longest-estimated-first,
+//! unknown costs first, first-submitted on ties. The grid sorts its
+//! whole (static) miss list once and its pool takes the misses in that
+//! order; the daemon's queue is live, so each worker instead picks the
+//! current maximum under the job-table lock — same order, dynamic
+//! arrivals.
 //!
 //! Progress is streamed as typed events (`queued → hit|running →
 //! committed → done`, with the quanta-split counters and wall-clock),

@@ -24,7 +24,7 @@ use crate::protocol::{
     decode, read_msg, write_msg, EventKind, JobEvent, JobState, JobTicket, Request, Response,
     ServeStats, Submission,
 };
-use bench::grid::{run_cell_timed, CellResult, CellSpec, GridResult};
+use bench::grid::{run_cell_timed, scenario_grid, CellResult, CellSpec, GridResult};
 use bench::json::{Json, ToJson};
 use bench::store::{CellKey, Store};
 use simproc::freq::MachineSpec;
@@ -167,7 +167,7 @@ impl Server {
 /// results bit-exactly).
 fn artifact(result: CellResult, scale: f64, machine: &MachineSpec) -> Json {
     GridResult {
-        grid: format!("scenario:{}", result.spec.label),
+        grid: scenario_grid(&result.spec.label),
         scale,
         machine: machine.name.clone(),
         cells: vec![result],
@@ -316,18 +316,7 @@ fn worker(shared: &Shared) {
         // The actual simulation — the exact grid cell path — runs
         // with no lock held.
         let (result, timing) = run_cell_timed(&machine, scale, &cell);
-        let committed = match shared.store.commit(&key, &result, &timing) {
-            Ok(()) => true,
-            Err(e) => {
-                // A full store is a perf bug, not a result bug: warn
-                // and serve the computed artifact uncached.
-                eprintln!(
-                    "warning: store commit failed for {} ({e}); continuing uncached",
-                    key.hex()
-                );
-                false
-            }
-        };
+        let committed = shared.store.commit_or_warn(&key, &result, &timing);
 
         let doc = artifact(result, scale, &machine);
         let mut inner = shared.lock();

@@ -5,7 +5,7 @@
 //! submissions must complete without running the simulator; and
 //! `shutdown` must drain in-flight work before the daemon exits.
 
-use bench::grid::{run_scenario_timed, scenario_cell};
+use bench::grid::{run_scenario_timed, scenario_cell, BspCell};
 use bench::scenario::{Scenario, Topology};
 use bench::store::Store;
 use cluster::SteppingMode;
@@ -258,6 +258,34 @@ fn submissions_are_refused_while_draining_and_errors_are_typed() {
         .expect_err("one-node cells have no stepping mode");
     assert!(
         err.contains("stepping"),
+        "diagnostic names the cause: {err}"
+    );
+    // A one-node cluster, which the cell format would silently run as
+    // a single node: through the scenario route as a replicated
+    // scenario, and through the cell route as a one-node BSP cell.
+    let mut scenario = tiny_scenario();
+    scenario.topology = Topology::Replicated;
+    let err = client
+        .submit(Submission::Scenario(Box::new(scenario)))
+        .expect_err("a one-node cluster is not a single node");
+    assert!(
+        err.contains("single-node"),
+        "diagnostic names the cause: {err}"
+    );
+    let mut cell = scenario_cell(&tiny_scenario()).expect("embeddable");
+    cell.bsp = Some(BspCell {
+        supersteps: 4,
+        comm_bytes: 1.2e9,
+    });
+    let err = client
+        .submit(Submission::Cell(Box::new(CellSubmission {
+            machine: HASWELL_2650V3.clone(),
+            scale: 0.01,
+            cell,
+        })))
+        .expect_err("a one-node cell has no bsp decomposition");
+    assert!(
+        err.contains("multi-node"),
         "diagnostic names the cause: {err}"
     );
 

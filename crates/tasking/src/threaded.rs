@@ -25,18 +25,30 @@
 //! tasks spawned transitively by other tasks — has completed, which is
 //! exactly the async–finish quiescence semantics of HClib / X10.
 //!
-//! Built on `crossbeam-deque`: each worker owns a [`Worker`] deque
-//! (LIFO pop), idle workers steal from a global [`Injector`] FIFO and
-//! from random victims' deques. Tasks must be `Send + 'static`; share
-//! state through `Arc` as the example shows.
+//! Each worker owns a `Mutex<VecDeque>` deque and pushes and pops its
+//! own tasks at the back (child-first); an idle worker takes from the
+//! front of the global queue, then from the front of the other
+//! workers' deques (oldest first). Tasks must be `Send + 'static`;
+//! share state through `Arc` as the example shows.
 
-use crossbeam::deque::{Injector, Stealer, Worker};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 type Job = Box<dyn FnOnce(&Scope<'_>) + Send>;
+
+/// A job with the `finish` scope it counts against.
+type Task = (Job, Arc<FinishState>);
+
+/// A task deque: the owner's end is the back, the thieves' the front.
+type Deque = Mutex<VecDeque<Task>>;
+
+fn locked(q: &Deque) -> MutexGuard<'_, VecDeque<Task>> {
+    // Only pushes and pops run under a deque lock; no job does.
+    q.lock().expect("no job runs under a deque lock")
+}
 
 /// Pending-task accounting for one `finish` scope.
 struct FinishState {
@@ -75,8 +87,10 @@ impl FinishState {
 }
 
 struct Shared {
-    injector: Injector<(Job, Arc<FinishState>)>,
-    stealers: Vec<Stealer<(Job, Arc<FinishState>)>>,
+    /// The global queue: tasks spawned from outside the pool.
+    injector: Deque,
+    /// One deque per worker, indexed by worker.
+    deques: Vec<Deque>,
     shutdown: AtomicBool,
     idle_lock: Mutex<()>,
     idle_cv: Condvar,
@@ -94,7 +108,8 @@ impl Shared {
 pub struct Scope<'a> {
     shared: &'a Shared,
     finish: &'a Arc<FinishState>,
-    local: Option<&'a Worker<(Job, Arc<FinishState>)>>,
+    /// The running worker's index; `None` on a user thread.
+    worker: Option<usize>,
 }
 
 impl Scope<'_> {
@@ -104,12 +119,12 @@ impl Scope<'_> {
         F: FnOnce(&Scope<'_>) + Send + 'static,
     {
         self.finish.task_spawned();
-        let item = (Box::new(f) as Job, Arc::clone(self.finish));
-        match self.local {
-            // Worker thread: child-first, to the bottom of our deque.
-            Some(w) => w.push(item),
-            // User thread: through the global injector.
-            None => self.shared.injector.push(item),
+        let task = (Box::new(f) as Job, Arc::clone(self.finish));
+        match self.worker {
+            // Worker thread: child-first, to the back of our deque.
+            Some(me) => locked(&self.shared.deques[me]).push_back(task),
+            // User thread: through the global queue.
+            None => locked(&self.shared.injector).push_back(task),
         }
         self.shared.notify_work();
     }
@@ -128,24 +143,19 @@ impl Pool {
     /// Panics if `n_threads` is zero.
     pub fn new(n_threads: usize) -> Self {
         assert!(n_threads > 0, "pool needs at least one thread");
-        let workers: Vec<Worker<(Job, Arc<FinishState>)>> =
-            (0..n_threads).map(|_| Worker::new_lifo()).collect();
-        let stealers = workers.iter().map(Worker::stealer).collect();
         let shared = Arc::new(Shared {
-            injector: Injector::new(),
-            stealers,
+            injector: Deque::default(),
+            deques: (0..n_threads).map(|_| Deque::default()).collect(),
             shutdown: AtomicBool::new(false),
             idle_lock: Mutex::new(()),
             idle_cv: Condvar::new(),
         });
-        let threads = workers
-            .into_iter()
-            .enumerate()
-            .map(|(i, w)| {
+        let threads = (0..n_threads)
+            .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("tasking-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &w, i))
+                    .spawn(move || worker_loop(&shared, i))
                     .expect("failed to spawn worker thread")
             })
             .collect();
@@ -168,7 +178,7 @@ impl Pool {
             let scope = Scope {
                 shared: &self.shared,
                 finish: &finish,
-                local: None,
+                worker: None,
             };
             f(&scope);
         }
@@ -186,45 +196,32 @@ impl Drop for Pool {
     }
 }
 
-fn find_work(
-    shared: &Shared,
-    local: &Worker<(Job, Arc<FinishState>)>,
-    me: usize,
-) -> Option<(Job, Arc<FinishState>)> {
-    if let Some(item) = local.pop() {
-        return Some(item);
+fn find_work(shared: &Shared, me: usize) -> Option<Task> {
+    // One deque lock at a time (each guard drops with its statement):
+    // two workers holding their own deque while locking each other's
+    // would deadlock.
+    if let Some(task) = locked(&shared.deques[me]).pop_back() {
+        return Some(task);
     }
-    // Drain the injector into our deque opportunistically, then steal.
-    loop {
-        match shared.injector.steal_batch_and_pop(local) {
-            crossbeam::deque::Steal::Success(item) => return Some(item),
-            crossbeam::deque::Steal::Retry => continue,
-            crossbeam::deque::Steal::Empty => break,
-        }
+    if let Some(task) = locked(&shared.injector).pop_front() {
+        return Some(task);
     }
-    for (v, stealer) in shared.stealers.iter().enumerate() {
-        if v == me {
-            continue;
-        }
-        loop {
-            match stealer.steal() {
-                crossbeam::deque::Steal::Success(item) => return Some(item),
-                crossbeam::deque::Steal::Retry => continue,
-                crossbeam::deque::Steal::Empty => break,
-            }
-        }
-    }
-    None
+    shared
+        .deques
+        .iter()
+        .enumerate()
+        .filter(|&(victim, _)| victim != me)
+        .find_map(|(_, deque)| locked(deque).pop_front())
 }
 
-fn worker_loop(shared: &Shared, local: &Worker<(Job, Arc<FinishState>)>, me: usize) {
+fn worker_loop(shared: &Shared, me: usize) {
     loop {
-        match find_work(shared, local, me) {
+        match find_work(shared, me) {
             Some((job, finish)) => {
                 let scope = Scope {
                     shared,
                     finish: &finish,
-                    local: Some(local),
+                    worker: Some(me),
                 };
                 job(&scope);
                 finish.task_done();
@@ -233,8 +230,8 @@ fn worker_loop(shared: &Shared, local: &Worker<(Job, Arc<FinishState>)>, me: usi
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                // Timed wait sidesteps missed-wakeup races against
-                // lock-free pushes.
+                // Timed wait sidesteps missed-wakeup races against a
+                // push landing between `find_work` and the wait.
                 let g = shared.idle_lock.lock().unwrap();
                 let _ = shared
                     .idle_cv
@@ -336,6 +333,23 @@ mod tests {
             }
         });
         assert_eq!(counter.load(Ordering::Relaxed), 200);
+    }
+
+    #[test]
+    fn one_worker_runs_children_newest_first() {
+        // The owner pops its own deque from the back: child-first.
+        let pool = Pool::new(1);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let parent_log = log.clone();
+        pool.finish(move |scope| {
+            scope.spawn(move |s| {
+                for i in 0..3 {
+                    let log = parent_log.clone();
+                    s.spawn(move |_| log.lock().unwrap().push(i));
+                }
+            });
+        });
+        assert_eq!(*log.lock().unwrap(), [2, 1, 0]);
     }
 
     #[test]
