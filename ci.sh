@@ -4,9 +4,9 @@
 # workflow (.github/workflows/ci.yml) is a thin caller.
 #
 # Usage: ./ci.sh [--quick]
-#   --quick   PR-time mode: skip the full release workspace build and
-#             the examples/bench compile checks (the test build and the
-#             release bench bins still cover those crates).
+#   --quick   PR-time mode: skip the full release workspace build, the
+#             examples compile check and the perfbench stage (the test
+#             build and the release bench bins still cover those crates).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -51,16 +51,15 @@ cargo fmt --check
 stage "docs (rustdoc, warnings are errors)"
 # Part of the quick path: the Scenario API is documentation-driven
 # (scenario files are written against the rustdoc schema), so broken
-# intra-doc links or malformed docs fail CI.
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q "$LOCKED"
+# intra-doc links or malformed docs fail CI, in every workspace crate.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q "$LOCKED"
 
 stage "clippy (warnings are errors)"
 cargo clippy --workspace --all-targets "$LOCKED" -- -D warnings
 
 if [[ "$QUICK" -eq 0 ]]; then
-  stage "examples and bench targets compile"
+  stage "examples compile"
   cargo build --examples "$LOCKED"
-  cargo build -p bench --benches "$LOCKED"
 fi
 
 stage "bench bins build: release"
@@ -306,6 +305,29 @@ if [[ "$QUICK" -eq 0 ]]; then
   # must land within a small energy gap of the static oracle. A few
   # seconds in release mode and deterministic, so a red gap fails CI.
   cargo test --release -q -p bench "$LOCKED" --test oracle_gate -- --ignored
+
+  stage "perfbench: unit tests"
+  # The benchmark of record (BENCHMARK.json) and the workspace's one
+  # timing instrument: a workspace of its own, built under target/ like
+  # the rest. No --locked: perfbench/Cargo.lock is generated, not
+  # committed.
+  PERFBENCH=(--release -q --offline --manifest-path perfbench/Cargo.toml
+    --target-dir target/perfbench)
+  cargo test "${PERFBENCH[@]}"
+  # One short untraced run per workload: every op must match its golden
+  # digest. perfbench exits 0 even when ops fail, so the gate reads the
+  # result line (the last line of stdout).
+  for workload in paper-eval fleet fuzz warm-serve; do
+    stage "perfbench: $workload"
+    RESULT=$(cargo run "${PERFBENCH[@]}" -- \
+      --workload "$workload" --seconds 1 --trace 0 | tail -n 1)
+    echo "$RESULT"
+    if ! grep -q '"correct":true' <<<"$RESULT" ||
+      ! grep -Eq '"failed":0[,}]' <<<"$RESULT"; then
+      echo "ci.sh: perfbench $workload failed its output checks" >&2
+      false
+    fi
+  done
 fi
 
 echo "CI green."

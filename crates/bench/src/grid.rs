@@ -11,7 +11,7 @@
 //! and bulk-synchronous decompositions — no hand-built special-case
 //! cells). [`GridSpec::run`] executes the enumerated cells on
 //! `--shards` threads that take cell indices from a shared cursor
-//! ([`par_map`](crate::par_map)), each cell running through
+//! ([`par_map`]), each cell running through
 //! [`Scenario::run`], and [`GridResult`] carries the per-cell
 //! measurements in *cell-enumeration order* regardless of which thread
 //! ran what — so the serialized artifact is byte-identical for any
@@ -422,7 +422,7 @@ pub fn paper_setups() -> Vec<GridSetup> {
 /// re-run it, embedded verbatim in the result artifact. A cell is the
 /// grid-context form of a [`Scenario`]: [`CellSpec::scenario`] expands
 /// it against the grid's machine and scale, and that scenario is
-/// exactly what [`run_cell`] executes.
+/// exactly what [`run_cell_timed`] executes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellSpec {
     /// Benchmark name.
@@ -487,7 +487,9 @@ impl CellSpec {
     /// by `nodes == 1`, so every single-node rule here keys on that.
     /// Callers holding a cell from outside (a scenario file, a serve
     /// submission) check it here so a malformed cell is an error, not
-    /// a panic at expansion.
+    /// a panic at expansion. The expanded scenario's own rules, such as
+    /// valid machines, are [`Scenario::validate`]'s;
+    /// [`CellSpec::validate_scenario`] checks both.
     pub fn validate(&self) -> Result<(), String> {
         if self.nodes == 0 {
             return Err("cell must have at least one node".into());
@@ -497,15 +499,6 @@ impl CellSpec {
                 return Err(
                     "heterogeneous cells need one machine per node of a multi-node cell".into(),
                 );
-            }
-            for m in machines {
-                m.validate()?;
-            }
-            if machines
-                .iter()
-                .any(|m| m.quantum_ns != machines[0].quantum_ns)
-            {
-                return Err("all nodes must share one quantum_ns".into());
             }
         }
         if self.nodes == 1 && self.stepping != SteppingMode::default() {
@@ -546,13 +539,42 @@ impl CellSpec {
         if let Err(e) = self.validate() {
             panic!("invalid cell {}/{}: {e}", self.bench, self.label);
         }
-        let policy = match self.setup {
-            Setup::Oracle => cuttlefish::NodePolicy::Oracle(match &self.oracle {
-                Some(table) => table.clone(),
-                None => self.derive_oracle_table(machine, scale),
-            }),
-            other => other.node_policy(self.config.clone()),
-        };
+        let policy = self.policy().unwrap_or_else(|| {
+            cuttlefish::NodePolicy::Oracle(self.derive_oracle_table(machine, scale))
+        });
+        self.expand(machine, scale, policy)
+    }
+
+    /// Check that this cell, against `machine` and `scale`, expands to
+    /// a scenario that runs: the cell-format rules, then
+    /// [`Scenario::validate`] on one expansion. A cell that derives its
+    /// oracle table is checked with the Default policy in the table's
+    /// place: a derived table is valid by construction, so the verdict
+    /// is the same, and the check never runs the derivation's trace
+    /// probe.
+    pub fn validate_scenario(&self, machine: &MachineSpec, scale: f64) -> Result<(), String> {
+        self.validate()?;
+        let policy = self.policy().unwrap_or(cuttlefish::NodePolicy::Default);
+        self.expand(machine, scale, policy).validate()
+    }
+
+    /// The policy every node runs; `None` for an oracle cell whose
+    /// table is derived at expansion.
+    fn policy(&self) -> Option<cuttlefish::NodePolicy> {
+        match (self.setup, &self.oracle) {
+            (Setup::Oracle, Some(table)) => Some(cuttlefish::NodePolicy::Oracle(table.clone())),
+            (Setup::Oracle, None) => None,
+            (other, _) => Some(other.node_policy(self.config.clone())),
+        }
+    }
+
+    /// The scenario this cell runs with `policy` on every node.
+    fn expand(
+        &self,
+        machine: &MachineSpec,
+        scale: f64,
+        policy: cuttlefish::NodePolicy,
+    ) -> Scenario {
         let node_machines: Vec<MachineSpec> = match &self.machines {
             Some(machines) => machines.clone(),
             None => vec![machine.clone(); self.nodes],
@@ -1023,14 +1045,9 @@ fn report_entries(report: &[cuttlefish::daemon::NodeReport]) -> Vec<ReportEntry>
         .collect()
 }
 
-/// Execute one cell through its scenario. Public so overhead
-/// microbenchmarks and external drivers can measure exactly what the
-/// grid runner runs per cell.
-pub fn run_cell(machine: &MachineSpec, scale: f64, cell: &CellSpec) -> CellResult {
-    run_cell_timed(machine, scale, cell).0
-}
-
-/// [`run_cell`] plus its wall-clock and stepping counters.
+/// Execute one cell through its scenario, with its wall-clock and
+/// stepping counters. Public so the benchmark and the daemon run
+/// exactly what the grid runner runs per cell.
 pub fn run_cell_timed(
     machine: &MachineSpec,
     scale: f64,

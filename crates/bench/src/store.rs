@@ -2,9 +2,10 @@
 //! `H(cell identity ‖ code version)`.
 //!
 //! Every grid cell is a deterministic function of two inputs — the
-//! canonical cell identity (machine × scale × [`CellSpec`], the grid
-//! embedding of the cell's [`Scenario`](crate::scenario::Scenario))
-//! and the code that interprets it. The store exploits that: it maps
+//! canonical cell identity (machine × scale ×
+//! [`CellSpec`](crate::grid::CellSpec), the grid embedding of the
+//! cell's [`Scenario`](crate::scenario::Scenario)) and the code that
+//! interprets it. The store exploits that: it maps
 //! the FNV-1a digest of those two inputs to the serialized
 //! [`CellResult`] plus the deterministic stepping counters, so a
 //! re-run recomputes only cells whose bytes or code actually changed.

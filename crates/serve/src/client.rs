@@ -111,8 +111,8 @@ impl Client {
     }
 
     /// Submit and block until the artifact is available: the
-    /// round-trip the `submit --wait` subcommand and the warm-latency
-    /// microbenchmark measure.
+    /// round trip of the `submit --wait` subcommand, and the one the
+    /// benchmark's `warm-serve` workload times.
     pub fn submit_and_fetch(&self, submission: Submission) -> Result<(JobTicket, Json), String> {
         let ticket = self.submit(submission)?;
         let artifact = self.result(&ticket.job)?;

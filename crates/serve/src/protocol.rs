@@ -16,10 +16,18 @@ use bench::scenario::{obj, Scenario, SCENARIO_SCHEMA};
 use bench::store::StoreStats;
 use simproc::freq::MachineSpec;
 use std::io::{self, BufRead, Write};
-use workloads::WorkloadSpec;
 
 /// Format tag carried by every request and response.
 pub const SERVE_SCHEMA: &str = "cuttlefish/serve/v1";
+
+/// Longest request line the daemon reads, newline included. The
+/// largest request the grids produce is the 256-node fleet cell
+/// submitted as a scenario file, every node carrying its machine and
+/// policy: 96 KB compact. The bound leaves ten times that. A longer
+/// line is answered with an `error` and the connection is closed, so
+/// no client can make the daemon buffer more. Responses carry
+/// artifacts the daemon wrote, and the client reads them unbounded.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 fn num(n: u64) -> Json {
     debug_assert!(n < (1 << 53), "counter exceeds exact JSON transport");
@@ -70,26 +78,15 @@ impl Submission {
 }
 
 impl CellSubmission {
-    /// Check everything [`CellSpec::scenario`] would otherwise assert
-    /// (a malformed submission must be a protocol error, not a worker
-    /// panic) without expanding the cell — expansion of a
-    /// derived-oracle cell runs a trace probe, which belongs on the
-    /// worker pool, not in the submit handler.
+    /// Check everything running the cell would otherwise assert (a
+    /// malformed submission must be a protocol error, not a worker
+    /// panic): the uniform machine, then
+    /// [`CellSpec::validate_scenario`]. That check never derives an
+    /// oracle table, whose trace probe belongs on the worker pool, not
+    /// in the submit handler.
     fn validate(&self) -> Result<(), String> {
         self.machine.validate()?;
-        if !(self.scale.is_finite() && self.scale > 0.0) {
-            return Err(format!("invalid workload scale {}", self.scale));
-        }
-        self.cell.validate()?;
-        // Resolves the benchmark name/model against the suite — the
-        // same check `Scenario::validate` applies.
-        WorkloadSpec::Bench {
-            name: self.cell.bench.clone(),
-            model: self.cell.model,
-            scale: self.scale,
-        }
-        .resolve()?;
-        Ok(())
+        self.cell.validate_scenario(&self.machine, self.scale)
     }
 }
 

@@ -21,15 +21,15 @@
 //! wakes every waiter and the acceptor exits.
 
 use crate::protocol::{
-    decode, read_msg, write_msg, EventKind, JobEvent, JobState, JobTicket, Request, Response,
-    ServeStats, Submission,
+    decode, write_msg, EventKind, JobEvent, JobState, JobTicket, Request, Response, ServeStats,
+    Submission, MAX_REQUEST_BYTES,
 };
 use bench::grid::{run_cell_timed, scenario_grid, CellResult, CellSpec, GridResult};
 use bench::json::{Json, ToJson};
 use bench::store::{CellKey, Store};
 use simproc::freq::MachineSpec;
 use std::collections::HashMap;
-use std::io::{self, BufReader};
+use std::io::{self, BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -357,16 +357,26 @@ fn handle_conn(shared: &Shared, stream: TcpStream) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    let line = match read_msg(&mut reader) {
-        Ok(Some(line)) => line,
-        Ok(None) | Err(_) => return,
+    let mut line = Vec::new();
+    // One byte past the bound tells an over-long line from one that
+    // just fits.
+    let read =
+        BufReader::new(read_half.take(MAX_REQUEST_BYTES as u64 + 1)).read_until(b'\n', &mut line);
+    if !matches!(read, Ok(n) if n > 0) {
+        return;
+    }
+    let request = if line.len() > MAX_REQUEST_BYTES {
+        Err(format!("request line exceeds {MAX_REQUEST_BYTES} bytes"))
+    } else {
+        String::from_utf8(line)
+            .map_err(|_| "request line is not UTF-8".to_string())
+            .and_then(|line| decode::<Request>(&line).map_err(|e| e.0))
     };
-    let request = match decode::<Request>(&line) {
+    let request = match request {
         Ok(request) => request,
-        Err(e) => {
-            let _ = write_msg(&mut writer, &Response::Error { error: e.0 });
+        Err(error) => {
+            let _ = write_msg(&mut writer, &Response::Error { error });
             return;
         }
     };

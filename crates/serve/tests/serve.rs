@@ -5,14 +5,18 @@
 //! submissions must complete without running the simulator; and
 //! `shutdown` must drain in-flight work before the daemon exits.
 
-use bench::grid::{run_scenario_timed, scenario_cell, BspCell};
+use bench::grid::{run_scenario_timed, scenario_cell, BspCell, CellSpec};
 use bench::scenario::{Scenario, Topology};
 use bench::store::Store;
 use cluster::SteppingMode;
 use cuttlefish::NodePolicy;
-use serve::protocol::{CellSubmission, EventKind, JobState, Submission};
+use serve::protocol::{
+    decode, CellSubmission, EventKind, JobState, Response, Submission, MAX_REQUEST_BYTES,
+};
 use serve::{Client, Server};
 use simproc::freq::HASWELL_2650V3;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use workloads::ProgModel;
 
@@ -219,17 +223,18 @@ fn submissions_are_refused_while_draining_and_errors_are_typed() {
         .expect_err("non-harness seeds are not store-addressable");
     assert!(err.contains("harness"), "diagnostic names the cause: {err}");
 
-    // A cell the runner would reject is refused at submit time rather
-    // than panicking a worker: a stepping mode on a single node.
-    let mut cell = scenario_cell(&tiny_scenario()).expect("embeddable");
-    cell.stepping = SteppingMode::Lockstep;
-    let err = client
-        .submit(Submission::Cell(Box::new(CellSubmission {
+    let submit_cell = |cell: CellSpec| {
+        client.submit(Submission::Cell(Box::new(CellSubmission {
             machine: HASWELL_2650V3.clone(),
             scale: 0.01,
             cell,
         })))
-        .expect_err("single-node cells have no stepping mode");
+    };
+    // A cell the runner would reject is refused at submit time rather
+    // than panicking a worker: a stepping mode on a single node.
+    let mut cell = scenario_cell(&tiny_scenario()).expect("embeddable");
+    cell.stepping = SteppingMode::Lockstep;
+    let err = submit_cell(cell).expect_err("single-node cells have no stepping mode");
     assert!(
         err.contains("stepping"),
         "diagnostic names the cause: {err}"
@@ -240,13 +245,7 @@ fn submissions_are_refused_while_draining_and_errors_are_typed() {
         .build();
     let mut cell = scenario_cell(&two_nodes).expect("embeddable");
     cell.trace = true;
-    let err = client
-        .submit(Submission::Cell(Box::new(CellSubmission {
-            machine: HASWELL_2650V3.clone(),
-            scale: 0.01,
-            cell,
-        })))
-        .expect_err("multi-node cells record no trace");
+    let err = submit_cell(cell).expect_err("multi-node cells record no trace");
     assert!(err.contains("trace"), "diagnostic names the cause: {err}");
     // The same through the scenario route: a one-node cluster scenario
     // is valid, but its cell runs as a single node.
@@ -277,17 +276,63 @@ fn submissions_are_refused_while_draining_and_errors_are_typed() {
         supersteps: 4,
         comm_bytes: 1.2e9,
     });
-    let err = client
-        .submit(Submission::Cell(Box::new(CellSubmission {
-            machine: HASWELL_2650V3.clone(),
-            scale: 0.01,
-            cell,
-        })))
-        .expect_err("a one-node cell has no bsp decomposition");
+    let err = submit_cell(cell).expect_err("a one-node cell has no bsp decomposition");
     assert!(
         err.contains("multi-node"),
         "diagnostic names the cause: {err}"
     );
+    // Cells that keep the cell-format rules but expand to a scenario
+    // the run would refuse. A worker that panicked on one would leave
+    // its job `running`, and the drain below would never return.
+    let heat_bsp = Scenario::bench("Heat-ws", ProgModel::OpenMp, 0.01)
+        .nodes(2, &HASWELL_2650V3, NodePolicy::Default)
+        .bsp(4, 1.2e9)
+        .build();
+    let heat_bsp = scenario_cell(&heat_bsp).expect("embeddable");
+    let mut uts_bsp = scenario_cell(&two_nodes).expect("embeddable");
+    uts_bsp.bsp = heat_bsp.bsp;
+    let mut no_supersteps = heat_bsp.clone();
+    no_supersteps.bsp = Some(BspCell {
+        supersteps: 0,
+        comm_bytes: 1.2e9,
+    });
+    let mut negative_exchange = heat_bsp.clone();
+    negative_exchange.bsp = Some(BspCell {
+        supersteps: 4,
+        comm_bytes: -1.0,
+    });
+    let mut huge_rep = scenario_cell(&tiny_scenario()).expect("embeddable");
+    huge_rep.rep = 1 << 21;
+    for (cell, cause) in [
+        (uts_bsp, "work-sharing"),
+        (no_supersteps, "superstep"),
+        (negative_exchange, "exchange size -1"),
+        (huge_rep, "2^53"),
+    ] {
+        let err = submit_cell(cell).expect_err(cause);
+        assert!(err.contains(cause), "diagnostic names the cause: {err}");
+    }
+    // Raw request lines: one past the bound, sent with no newline, and
+    // one that is not UTF-8. The daemon answers each with an error and
+    // reads no further, then still answers.
+    for (bytes, cause) in [
+        (vec![b'{'; MAX_REQUEST_BYTES + 1], "exceeds"),
+        (b"\xff\n".to_vec(), "UTF-8"),
+    ] {
+        let mut stream = TcpStream::connect(client.addr()).expect("connect");
+        stream.write_all(&bytes).expect("send");
+        let mut line = String::new();
+        BufReader::new(stream)
+            .read_line(&mut line)
+            .expect("read answer");
+        match decode::<Response>(&line).expect("a protocol line") {
+            Response::Error { error } => {
+                assert!(error.contains(cause), "diagnostic names the cause: {error}")
+            }
+            other => panic!("expected a typed error, got {other:?}"),
+        }
+    }
+    assert_eq!(client.stats().expect("stats").submits, 0);
 
     client.shutdown().expect("shutdown");
     server.join().expect("clean exit");

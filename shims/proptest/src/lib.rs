@@ -125,7 +125,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Length specification for [`vec`]: a fixed size or a range.
+    /// Length specification for [`vec()`]: a fixed size or a range.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         lo: usize,
