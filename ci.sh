@@ -316,15 +316,19 @@ if [[ "$QUICK" -eq 0 ]]; then
   cargo test "${PERFBENCH[@]}"
   # One short untraced run per workload: every op must match its golden
   # digest. perfbench exits 0 even when ops fail, so the gate reads the
-  # result line (the last line of stdout).
-  for workload in paper-eval fleet fuzz warm-serve; do
-    stage "perfbench: $workload"
+  # result line (the last line of stdout). Then one traced paper-eval
+  # run: its traced passes re-drive every cell through perfbench's span
+  # decorators, and a cell whose simulated bits differ from the
+  # untraced pass counts as failed.
+  for run in "paper-eval 0" "fleet 0" "fuzz 0" "warm-serve 0" "paper-eval 1"; do
+    read -r workload trace <<<"$run"
+    stage "perfbench: $workload --trace $trace"
     RESULT=$(cargo run "${PERFBENCH[@]}" -- \
-      --workload "$workload" --seconds 1 --trace 0 | tail -n 1)
+      --workload "$workload" --seconds 1 --trace "$trace" | tail -n 1)
     echo "$RESULT"
     if ! grep -q '"correct":true' <<<"$RESULT" ||
       ! grep -Eq '"failed":0[,}]' <<<"$RESULT"; then
-      echo "ci.sh: perfbench $workload failed its output checks" >&2
+      echo "ci.sh: perfbench $workload --trace $trace failed its output checks" >&2
       false
     fi
   done

@@ -186,8 +186,11 @@ impl Scenario {
         }
         match &self.workload {
             WorkloadSpec::Bench { scale, .. } => {
-                if !(scale.is_finite() && *scale > 0.0) {
-                    return Err(format!("invalid workload scale {scale}"));
+                if !(*scale > 0.0 && *scale <= crate::MAX_SCALE) {
+                    return Err(format!(
+                        "invalid workload scale {scale} (must be positive and at most {})",
+                        crate::MAX_SCALE
+                    ));
                 }
                 self.workload.resolve()?;
             }

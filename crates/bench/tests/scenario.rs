@@ -260,6 +260,12 @@ fn malformed_scenario_files_are_rejected() {
     let mut doc = valid_doc();
     set_field(&mut doc, "duration_s", Json::Num(-1.0));
     assert!(Scenario::from_json_str(&doc.to_pretty()).is_err());
+    // A scale past the bound, whose task graph would grow without one.
+    let text = valid_doc()
+        .to_pretty()
+        .replace("\"scale\": 0.05", "\"scale\": 2.5");
+    let err = Scenario::from_json_str(&text).unwrap_err();
+    assert!(err.0.contains("at most 2"), "{err}");
     // A stepping mode on a single node, which has no cluster to drive.
     let mut doc = valid_doc();
     set_field(&mut doc, "stepping", Json::Str("lockstep".into()));

@@ -312,6 +312,19 @@ fn submissions_are_refused_while_draining_and_errors_are_typed() {
         let err = submit_cell(cell).expect_err(cause);
         assert!(err.contains(cause), "diagnostic names the cause: {err}");
     }
+    // A scale past the bound: its worker would build a task graph that
+    // grows with the scale.
+    let err = client
+        .submit(Submission::Cell(Box::new(CellSubmission {
+            machine: HASWELL_2650V3.clone(),
+            scale: 2.5,
+            cell: scenario_cell(&tiny_scenario()).expect("embeddable"),
+        })))
+        .expect_err("scales are bounded");
+    assert!(
+        err.contains("at most 2"),
+        "diagnostic names the bound: {err}"
+    );
     // Raw request lines: one past the bound, sent with no newline, and
     // one that is not UTF-8. The daemon answers each with an error and
     // reads no further, then still answers.

@@ -19,6 +19,16 @@
 //! * [`WorkSharingScheduler`] — statically partitioned parallel regions
 //!   with barriers: OpenMP `parallel for` with a static schedule.
 //!
+//! Both workload forms are kept flat, because a paper-scale task
+//! benchmark's graph holds 350–520 k tasks and is built, driven and
+//! dropped once per simulated cell. A [`TaskDag`] keeps its successors
+//! in one compressed-sparse-row pair of arrays (no allocation per task,
+//! and each task's successors in the order their edges were declared),
+//! and a completing task releases its successors straight from that
+//! slice. [`WorkSharingScheduler`] answers "is this region drained?"
+//! from a count of chunks not yet handed out rather than a scan of
+//! every core's cursor.
+//!
 //! Cuttlefish itself never sees any of this — it observes only the MSR
 //! counter streams the execution produces, which is precisely the
 //! paper's obliviousness claim.

@@ -81,6 +81,10 @@ pub struct WorkSharingScheduler {
     /// Cursor into each core's list of the current region.
     cursor: Vec<usize>,
     current: Option<Region>,
+    /// Chunks of the current region not yet handed out: its `len()`
+    /// minus the sum of the cursors (0 with no current region). The
+    /// region is drained exactly when this reaches 0.
+    undrained: usize,
     in_flight: usize,
     regions_done: usize,
     /// Whether each core currently holds a handed-out, uncompleted chunk.
@@ -96,6 +100,7 @@ impl WorkSharingScheduler {
             regions,
             cursor: vec![0; n_cores],
             current: None,
+            undrained: 0,
             in_flight: 0,
             regions_done: 0,
             handed: vec![false; n_cores],
@@ -112,25 +117,23 @@ impl WorkSharingScheduler {
     fn advance(&mut self) {
         self.cursor.iter_mut().for_each(|c| *c = 0);
         self.current = None;
+        self.undrained = 0;
         while let Some(r) = self.regions.pop() {
             if r.is_empty() {
                 self.regions_done += 1;
                 continue;
             }
+            self.undrained = r.len();
             self.current = Some(r);
             break;
         }
     }
 
+    /// Whether every chunk of the current region has been handed out.
+    /// (Lists of cores beyond the scheduler's width are never handed
+    /// out, so a region wider than the machine never drains.)
     fn region_drained(&self) -> bool {
-        match &self.current {
-            None => true,
-            Some(r) => r
-                .per_core
-                .iter()
-                .enumerate()
-                .all(|(core, list)| self.cursor.get(core).copied().unwrap_or(0) >= list.len()),
-        }
+        self.undrained == 0
     }
 }
 
@@ -163,6 +166,7 @@ impl Workload for WorkSharingScheduler {
         }
         let chunk = list[at].clone();
         self.cursor[core] = at + 1;
+        self.undrained -= 1;
         self.in_flight += 1;
         self.set_handed(core, true);
         Some(chunk)

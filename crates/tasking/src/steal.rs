@@ -79,8 +79,7 @@ impl WorkStealingScheduler {
 
     fn complete(&mut self, core: usize, task: u32) {
         self.completed += 1;
-        let succs = self.dag.successors(TaskId(task)).to_vec();
-        for s in succs {
+        for &s in self.dag.successors(TaskId(task)) {
             self.indeg[s as usize] -= 1;
             if self.indeg[s as usize] == 0 {
                 // Ready tasks go to the bottom of the completing core's
@@ -191,8 +190,7 @@ impl CentralQueueScheduler {
 
     fn complete(&mut self, task: u32) {
         self.completed += 1;
-        let succs = self.dag.successors(TaskId(task)).to_vec();
-        for s in succs {
+        for &s in self.dag.successors(TaskId(task)) {
             self.indeg[s as usize] -= 1;
             if self.indeg[s as usize] == 0 {
                 self.queue.push_back(s);

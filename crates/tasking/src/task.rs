@@ -17,10 +17,19 @@ use simproc::engine::Chunk;
 pub struct TaskId(pub u32);
 
 /// An immutable task DAG ready for scheduling.
+///
+/// Successors are stored in compressed-sparse-row (CSR) form: task
+/// `t`'s successors are `succs[succ_start[t]..succ_start[t + 1]]`, in
+/// the order their edges were declared to the [`DagBuilder`]. That
+/// order is what the schedulers push ready tasks in, so it is part of
+/// every schedule.
 #[derive(Debug, Clone)]
 pub struct TaskDag {
     chunks: Vec<Chunk>,
-    succs: Vec<Vec<u32>>,
+    /// `len() + 1` offsets into `succs`, non-decreasing, ending at
+    /// `succs.len()`.
+    succ_start: Vec<u32>,
+    succs: Vec<u32>,
     indeg: Vec<u32>,
 }
 
@@ -45,9 +54,11 @@ impl TaskDag {
         &self.chunks[id.0 as usize]
     }
 
-    /// Successor task ids of `id`.
+    /// Successor task ids of `id`, in the order their edges were
+    /// declared.
     pub fn successors(&self, id: TaskId) -> &[u32] {
-        &self.succs[id.0 as usize]
+        let t = id.0 as usize;
+        &self.succs[self.succ_start[t] as usize..self.succ_start[t + 1] as usize]
     }
 
     /// In-degree of each task (cloned; schedulers mutate their copy).
@@ -85,21 +96,26 @@ impl TaskDag {
 }
 
 /// Incremental DAG constructor.
+///
+/// Edges are recorded as one flat `(before, after)` list in declaration
+/// order; [`DagBuilder::build`] turns it into the [`TaskDag`]'s CSR
+/// arrays with a stable counting sort, so `successors(t)` lists `t`'s
+/// edges in the order they were declared.
 #[derive(Debug, Default)]
 pub struct DagBuilder {
     chunks: Vec<Chunk>,
-    succs: Vec<Vec<u32>>,
-    indeg: Vec<u32>,
+    edges: Vec<(u32, u32)>,
 }
 
 impl DagBuilder {
     /// Add a task carrying `chunk`; returns its id.
+    ///
+    /// # Panics
+    /// Panics if the task would not get a `u32` id.
     pub fn add_task(&mut self, chunk: Chunk) -> TaskId {
-        let id = TaskId(self.chunks.len() as u32);
+        let id = u32::try_from(self.chunks.len()).expect("task ids fit in u32");
         self.chunks.push(chunk);
-        self.succs.push(Vec::new());
-        self.indeg.push(0);
-        id
+        TaskId(id)
     }
 
     /// Number of tasks added so far.
@@ -126,8 +142,7 @@ impl DagBuilder {
             (after.0 as usize) < self.chunks.len(),
             "unknown task {after:?}"
         );
-        self.succs[before.0 as usize].push(after.0);
-        self.indeg[after.0 as usize] += 1;
+        self.edges.push((before.0, after.0));
     }
 
     /// Convenience barrier: every task in `before` precedes every task
@@ -157,25 +172,47 @@ impl DagBuilder {
     /// Finish construction, verifying acyclicity.
     ///
     /// # Panics
-    /// Panics if the dependency graph contains a cycle.
+    /// Panics if the dependency graph contains a cycle, or if its edge
+    /// offsets would not fit in `u32`.
     pub fn build(self) -> TaskDag {
+        let n = self.chunks.len();
+        assert!(
+            u32::try_from(self.edges.len()).is_ok(),
+            "edge offsets fit in u32"
+        );
+        // Count out- and in-degrees, turn the out-degrees into offsets,
+        // then scatter each edge to its source's next free slot. Edges
+        // are visited in declaration order, so each successor list keeps
+        // that order.
+        let mut succ_start = vec![0u32; n + 1];
+        let mut indeg = vec![0u32; n];
+        for &(before, after) in &self.edges {
+            succ_start[before as usize + 1] += 1;
+            indeg[after as usize] += 1;
+        }
+        for t in 0..n {
+            succ_start[t + 1] += succ_start[t];
+        }
+        let mut next_slot = succ_start[..n].to_vec();
+        let mut succs = vec![0u32; self.edges.len()];
+        for &(before, after) in &self.edges {
+            let slot = &mut next_slot[before as usize];
+            succs[*slot as usize] = after;
+            *slot += 1;
+        }
         let dag = TaskDag {
             chunks: self.chunks,
-            succs: self.succs,
-            indeg: self.indeg,
+            succ_start,
+            succs,
+            indeg,
         };
         // Kahn's algorithm: all tasks must be reachable at in-degree 0.
         let mut indeg = dag.indegrees();
-        let mut queue: Vec<u32> = indeg
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d == 0)
-            .map(|(i, _)| i as u32)
-            .collect();
+        let mut queue: Vec<u32> = dag.roots().map(|t| t.0).collect();
         let mut seen = 0usize;
         while let Some(t) = queue.pop() {
             seen += 1;
-            for &s in &dag.succs[t as usize] {
+            for &s in dag.successors(TaskId(t)) {
                 indeg[s as usize] -= 1;
                 if indeg[s as usize] == 0 {
                     queue.push(s);

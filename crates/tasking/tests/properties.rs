@@ -114,6 +114,37 @@ proptest! {
     }
 
     #[test]
+    fn successors_keep_declaration_order(
+        n in 1usize..60,
+        ranks in proptest::collection::vec(0usize..1000, 60),
+        edges in proptest::collection::vec((0usize..60, 0usize..60), 0..200),
+    ) {
+        // Edges run from lower to higher `rank`, so the graph is acyclic
+        // while its sources interleave and point at lower ids as often
+        // as higher ones (duplicate edges included).
+        let rank = |t: usize| (ranks[t], t);
+        let mut b = DagBuilder::default();
+        for _ in 0..n {
+            b.add_task(Chunk::new(1000, 10, 0));
+        }
+        let mut expected: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut indeg = vec![0u32; n];
+        for &(x, y) in &edges {
+            let (a, z) = (x % n, y % n);
+            if rank(a) < rank(z) {
+                b.add_dep(TaskId(a as u32), TaskId(z as u32));
+                expected[a].push(z as u32);
+                indeg[z] += 1;
+            }
+        }
+        let dag = b.build();
+        for (t, succs) in expected.iter().enumerate() {
+            prop_assert_eq!(dag.successors(TaskId(t as u32)), succs.as_slice());
+        }
+        prop_assert_eq!(dag.indegrees(), indeg);
+    }
+
+    #[test]
     fn schedulers_agree_on_total_work(
         n in 1usize..60,
         edges in proptest::collection::vec((0usize..60, 0usize..60), 0..100),

@@ -73,14 +73,19 @@ fn build_subtree(
         return node;
     }
     // Split the leaf span into `d` parts. The irregular shape skews the
-    // split (first child gets a larger share) so subtree sizes — and
-    // hence task availability over time — are uneven.
-    let parts = match shape {
-        TreeShape::Regular(_) => even_split(leaves.len(), d),
-        TreeShape::Irregular => skewed_split(leaves.len(), d, rng),
+    // split (its first child takes a larger share, drawn here, before
+    // any recursion draws) so subtree sizes — and hence task
+    // availability over time — are uneven. The regular shape's leading
+    // 0 is skipped like any empty part.
+    let (first, rest) = match shape {
+        TreeShape::Regular(_) => (0, even_split(leaves.len(), d)),
+        TreeShape::Irregular => {
+            let first = skewed_first(leaves.len(), d, rng);
+            (first, even_split(leaves.len() - first, d - 1))
+        }
     };
     let mut at = 0usize;
-    for part in parts {
+    for part in std::iter::once(first).chain(rest) {
         if part == 0 {
             continue;
         }
@@ -91,19 +96,18 @@ fn build_subtree(
     node
 }
 
-fn even_split(n: usize, d: usize) -> Vec<usize> {
+/// `n` split into `d` near-equal parts, the larger ones first.
+fn even_split(n: usize, d: usize) -> impl Iterator<Item = usize> {
     let base = n / d;
     let extra = n % d;
-    (0..d).map(|i| base + usize::from(i < extra)).collect()
+    (0..d).map(move |i| base + usize::from(i < extra))
 }
 
-fn skewed_split(n: usize, d: usize, rng: &mut SmallRng) -> Vec<usize> {
-    // First part takes 35-65% of the span, the rest split evenly.
+/// The first part of a skewed split of `n` into `d` parts: 35-65% of
+/// the span, leaving at least one for each other part where `n` allows.
+fn skewed_first(n: usize, d: usize, rng: &mut SmallRng) -> usize {
     let first = ((n as f64) * rng.gen_range(0.35..0.65)).round() as usize;
-    let first = first.clamp(1, n.saturating_sub(d - 1).max(1));
-    let mut parts = vec![first];
-    parts.extend(even_split(n - first, d - 1));
-    parts
+    first.clamp(1, n.saturating_sub(d - 1).max(1))
 }
 
 /// Build a complete iterative task workload: `iters` repetitions of a
@@ -218,6 +222,42 @@ mod tests {
         let mut s = tasking::WorkStealingScheduler::new(dag, p.n_cores(), 2);
         p.run(&mut s, |_| {});
         assert_eq!(s.completed(), total);
+    }
+
+    /// FNV-1a over every task's successor list, in task order.
+    fn successor_digest(dag: &tasking::TaskDag) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: u32| {
+            for byte in x.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for t in 0..dag.len() {
+            let succs = dag.successors(TaskId(t as u32));
+            eat(succs.len() as u32);
+            succs.iter().for_each(|&s| eat(s));
+        }
+        h
+    }
+
+    #[test]
+    fn spawn_trees_match_recorded_digests() {
+        // A change to the split arithmetic, to the PRNG draw order or
+        // to successor order moves these digests, and with them every
+        // task benchmark's schedule.
+        let pinned = |shape, seed, n_leaves| {
+            let dag = iterative_tree_dag(2, shape, seed, |_, b| leaves(b, n_leaves));
+            (dag.len(), successor_digest(&dag))
+        };
+        assert_eq!(
+            pinned(TreeShape::Irregular, 0x4e47_0001, 1000),
+            (3453, 0x70ab_bf5b_656d_65b9)
+        );
+        assert_eq!(
+            pinned(TreeShape::Regular(3), 0x50_0501, 999),
+            (4185, 0x514f_79a5_dcbc_e837)
+        );
     }
 
     #[test]
