@@ -299,6 +299,14 @@ stage "serve smoke: all hits + graceful shutdown"
 wait "$SERVE_PID"
 SERVE_PID=
 
+stage "smoke store: verify + stats"
+# Audit every entry the smoke passes committed: the cold grids, the
+# --scenario pre-warm and the daemon. `verify` exits 1 on any entry
+# that fails to decode, sits under the wrong filename or fails its
+# result digest.
+./target/release/store verify --store "$SMOKE_STORE"
+./target/release/store stats --store "$SMOKE_STORE"
+
 if [[ "$QUICK" -eq 0 ]]; then
   stage "full-scale oracle gate"
   # Paper §5's central claim at CUTTLEFISH_SCALE=1.0: the online search

@@ -5,11 +5,13 @@
 //!         [--scenario FILE] [--list]`
 //!
 //! Defaults to `SOR-ws` at scale 0.3; `--smoke` pins the CI smoke
-//! scale instead of the positional one.
+//! scale instead of the positional one. A benchmark outside the
+//! OpenMP suite, or a scale that is not a number in
+//! `(0, bench::MAX_SCALE]`, is a usage error (exit 2).
 
 use bench::cli::GridArgs;
 use bench::grid::{AxisSet, GridResult, GridSetup, GridSpec};
-use bench::Setup;
+use bench::{Setup, MAX_SCALE};
 use cuttlefish::Policy;
 
 const USAGE: &str = "debug_report [<bench-name>] [<scale>] [--smoke] [--shards N] [--json PATH] \
@@ -21,15 +23,23 @@ fn spec(args: &GridArgs) -> GridSpec {
         .first()
         .map(String::as_str)
         .unwrap_or("SOR-ws");
+    let positional_scale = args.positionals().get(1).map(|s| match s.parse::<f64>() {
+        Ok(x) if x.is_finite() && x > 0.0 && x <= MAX_SCALE => x,
+        _ => usage_error(&format!("scale `{s}` is not a number in (0, {MAX_SCALE}]")),
+    });
     let scale = if args.smoke {
         args.scale()
     } else {
-        args.positionals()
-            .get(1)
-            .and_then(|s| s.parse::<f64>().ok())
-            .unwrap_or(0.3)
+        positional_scale.unwrap_or(0.3)
     };
     let mut spec = GridSpec::new("debug_report", scale);
+    let suite = spec.full_suite();
+    if !suite.iter().any(|b| b == name) {
+        usage_error(&format!(
+            "unknown benchmark `{name}` (one of: {})",
+            suite.join(", ")
+        ));
+    }
     spec.push(AxisSet::new(
         vec![name.to_string()],
         vec![GridSetup::new(
@@ -38,6 +48,11 @@ fn spec(args: &GridArgs) -> GridSpec {
         )],
     ));
     spec
+}
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}\n{USAGE}");
+    std::process::exit(2);
 }
 
 fn main() {

@@ -5,8 +5,8 @@
 //! * `ls` — list every entry (key, code version, benchmark, label,
 //!   compute wall-clock, size), sorted by key;
 //! * `stats` — aggregate shape: entries, total bytes, distinct code
-//!   versions, hint coverage (the same `bench::store::StoreStats`
-//!   computation the `cuttlefish-serve` daemon reports over the wire);
+//!   versions (the same `bench::store::StoreStats` computation the
+//!   `cuttlefish-serve` daemon reports over the wire);
 //! * `verify` — fully verify every entry (decodable, filename/key
 //!   consistent, result digest intact); exits non-zero if any fail;
 //! * `gc` — remove entries that can never hit under the current code
@@ -96,17 +96,12 @@ fn ls(store: &Store) {
 fn stats(store: &Store) {
     let s = store.stats();
     println!(
-        "{} entries ({} bytes, {} corrupt) across {} code version(s) at {}",
+        "{} entries ({} bytes, {} corrupt) across {} code version(s) at {} (current cv={})",
         s.entries,
         s.bytes,
         s.corrupt,
         s.code_versions,
-        store.root().display()
-    );
-    println!(
-        "hints: {} file(s), {:.0}% cell coverage (current cv={})",
-        s.hints,
-        s.hint_coverage * 100.0,
+        store.root().display(),
         store.code_version()
     );
 }

@@ -320,13 +320,6 @@ impl GridSpec {
 /// any store state and any shard count; only `GridTiming` sees the
 /// difference (hit/miss counters, near-zero hit wall-clocks, restored
 /// stepping counters).
-///
-/// Misses are dispatched longest-processing-time-first using each
-/// cell's last recorded compute wall-clock from the store (cells never
-/// computed here go first, at estimated-max) — the classic LPT
-/// makespan heuristic, which stops a long cell started last from
-/// serializing the tail of a wide shard pool. With no store the misses
-/// keep cell order.
 pub fn run_cells(
     name: &str,
     machine: &MachineSpec,
@@ -338,8 +331,8 @@ pub fn run_cells(
     let wall = Instant::now();
     let mut slots: Vec<Option<(CellResult, CellTiming)>> = Vec::new();
     slots.resize_with(cells.len(), || None);
-    // Misses as (cell index, store key, LPT cost estimate).
-    let mut misses: Vec<(usize, Option<CellKey>, f64)> = Vec::new();
+    // Misses as (cell index, store key), in cell order.
+    let mut misses: Vec<(usize, Option<CellKey>)> = Vec::new();
     match store {
         // The probe runs on the pool too: loads are independent reads,
         // and on a warm run the parse + digest check of large traced
@@ -356,22 +349,15 @@ pub fn run_cells(
             for (idx, (key, hit)) in probes.into_iter().enumerate() {
                 match hit {
                     Some(hit) => slots[idx] = Some(hit),
-                    None => {
-                        let est_ms = store.wall_hint(&key).unwrap_or(f64::INFINITY);
-                        misses.push((idx, Some(key), est_ms));
-                    }
+                    None => misses.push((idx, Some(key))),
                 }
             }
         }
-        None => misses.extend((0..cells.len()).map(|idx| (idx, None, f64::INFINITY))),
+        None => misses.extend((0..cells.len()).map(|idx| (idx, None))),
     }
     let n_misses = misses.len() as u64;
 
-    // LPT order: descending cost estimate; the sort is stable, so
-    // unknown-cost cells (and the whole storeless path, where every
-    // estimate is +inf) stay in cell order.
-    misses.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
-    let computed = par_map(&misses, shards, |(idx, key, _)| {
+    let computed = par_map(&misses, shards, |(idx, key)| {
         let (result, timing) = run_cell_timed(machine, scale, &cells[*idx]);
         if let (Some(store), Some(key)) = (store, key) {
             store.commit_or_warn(key, &result, &timing);
@@ -380,7 +366,7 @@ pub fn run_cells(
     });
     let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
 
-    for ((idx, ..), cell) in misses.iter().zip(computed) {
+    for ((idx, _), cell) in misses.iter().zip(computed) {
         slots[*idx] = Some(cell);
     }
     let (results, timings): (Vec<CellResult>, Vec<CellTiming>) = slots

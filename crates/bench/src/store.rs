@@ -19,15 +19,13 @@
 //!                                overridable via --store/CUTTLEFISH_STORE
 //!   objects/<hh>/<key16>.json    one entry per (identity, code version);
 //!                                <hh> = first two hex digits of the key
-//!   hints/<cell16>.json          last wall-clock per identity (any code
-//!                                version) — the LPT dispatch cost model
 //! ```
 //!
 //! Entries are immutable once written (content-addressed: same key ⇒
 //! same bytes) and committed atomically (tmp file + rename), so
 //! concurrent shards and concurrent grid invocations can share a root
 //! without locking — the worst case is two writers racing to create
-//! the identical entry. Hints are advisory and last-write-wins.
+//! the identical entry.
 //!
 //! # Invalidation
 //!
@@ -53,9 +51,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Format tag embedded in every store entry.
 pub const ENTRY_SCHEMA: &str = "cuttlefish/store-entry/v1";
 
-/// Format tag embedded in every wall-clock hint.
-pub const HINT_SCHEMA: &str = "cuttlefish/store-hint/v1";
-
 /// The workspace source digest baked in at build time (see
 /// `crates/bench/build.rs`) — the default code-version half of every
 /// store key.
@@ -78,13 +73,10 @@ fn fnv1a64_update(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// The two digests addressing one cell in the store.
+/// The digest addressing one cell in the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellKey {
-    /// `H(identity)` — code-version independent. Addresses the
-    /// wall-clock hint, so cost estimates survive code changes.
-    pub cell_hash: u64,
-    /// `H(identity ‖ 0x00 ‖ code version)` — the store key proper.
+    /// `H(identity ‖ 0x00 ‖ code version)` — the store key.
     pub key_hash: u64,
 }
 
@@ -92,11 +84,6 @@ impl CellKey {
     /// The store key as the 16-hex-digit entry filename stem.
     pub fn hex(&self) -> String {
         format!("{:016x}", self.key_hash)
-    }
-
-    /// The identity digest as 16 hex digits (the hint filename stem).
-    pub fn cell_hex(&self) -> String {
-        format!("{:016x}", self.cell_hash)
     }
 }
 
@@ -139,8 +126,6 @@ impl StoreEntry {
 pub struct EntryMeta {
     /// Entry key, 16 hex digits.
     pub key: String,
-    /// Identity digest, 16 hex digits.
-    pub cell: String,
     /// Code version the entry was computed under.
     pub code_version: String,
     /// Benchmark name (display only).
@@ -165,12 +150,6 @@ pub struct StoreStats {
     pub bytes: u64,
     /// Distinct code versions across the decodable entries.
     pub code_versions: u64,
-    /// Wall-clock hint files under `hints/`.
-    pub hints: u64,
-    /// Fraction of the distinct cell identities among decodable
-    /// entries that have a hint (the LPT cost model's coverage);
-    /// `1.0` for an empty store.
-    pub hint_coverage: f64,
 }
 
 impl ToJson for StoreStats {
@@ -180,8 +159,6 @@ impl ToJson for StoreStats {
             ("corrupt", Json::Num(self.corrupt as f64)),
             ("bytes", Json::Num(self.bytes as f64)),
             ("code_versions", Json::Num(self.code_versions as f64)),
-            ("hints", Json::Num(self.hints as f64)),
-            ("hint_coverage", Json::Num(self.hint_coverage)),
         ])
     }
 }
@@ -193,8 +170,6 @@ impl FromJson for StoreStats {
             corrupt: j.field("corrupt")?.as_u64()?,
             bytes: j.field("bytes")?.as_u64()?,
             code_versions: j.field("code_versions")?.as_u64()?,
-            hints: j.field("hints")?.as_u64()?,
-            hint_coverage: j.field("hint_coverage")?.as_f64()?,
         })
     }
 }
@@ -263,16 +238,11 @@ impl Store {
     }
 
     /// Derive the store key for one canonical identity:
-    /// `cell_hash = H(identity)`,
     /// `key_hash = H(identity ‖ 0x00 ‖ code version)`.
     pub fn key(&self, identity: &[u8]) -> CellKey {
-        let cell_hash = fnv1a64(identity);
         let mut key_hash = fnv1a64_update(fnv1a64(identity), &[0]);
         key_hash = fnv1a64_update(key_hash, self.code_version.as_bytes());
-        CellKey {
-            cell_hash,
-            key_hash,
-        }
+        CellKey { key_hash }
     }
 
     fn entry_path(&self, key: &CellKey) -> PathBuf {
@@ -281,12 +251,6 @@ impl Store {
             .join("objects")
             .join(&hex[..2])
             .join(format!("{hex}.json"))
-    }
-
-    fn hint_path(&self, key: &CellKey) -> PathBuf {
-        self.root
-            .join("hints")
-            .join(format!("{}.json", key.cell_hex()))
     }
 
     /// Load and verify the entry for `key`. Returns `None` on *any*
@@ -347,9 +311,9 @@ impl Store {
         })
     }
 
-    /// Commit one executed cell under `key`, atomically, plus its
-    /// wall-clock hint. Never called for a hit, so the miss-path wall
-    /// clock in `timing` is the genuine compute cost.
+    /// Commit one executed cell under `key`, atomically. Never called
+    /// for a hit, so the miss-path wall clock in `timing` is the
+    /// genuine compute cost.
     pub fn commit(
         &self,
         key: &CellKey,
@@ -360,7 +324,6 @@ impl Store {
         let entry = obj(vec![
             ("schema", Json::Str(ENTRY_SCHEMA.into())),
             ("key", Json::Str(key.hex())),
-            ("cell", Json::Str(key.cell_hex())),
             ("code_version", Json::Str(self.code_version.clone())),
             ("bench", Json::Str(result.spec.bench.clone())),
             ("label", Json::Str(result.spec.label.clone())),
@@ -381,12 +344,7 @@ impl Store {
             ),
             ("result", Json::parse(&result_json).expect("canonical JSON")),
         ]);
-        write_atomic(&self.entry_path(key), &entry.to_pretty())?;
-        let hint = obj(vec![
-            ("schema", Json::Str(HINT_SCHEMA.into())),
-            ("wall_ms", Json::Num(timing.wall_ms)),
-        ]);
-        write_atomic(&self.hint_path(key), &hint.to_pretty())
+        write_atomic(&self.entry_path(key), &entry.to_pretty())
     }
 
     /// [`commit`](Store::commit) for a caller that has its result
@@ -406,64 +364,22 @@ impl Store {
         }
     }
 
-    /// Last recorded compute wall-clock for this cell identity, under
-    /// *any* code version — the LPT dispatch cost estimate. `None`
-    /// means the cell was never computed here (dispatch first, at
-    /// estimated-max).
-    pub fn wall_hint(&self, key: &CellKey) -> Option<f64> {
-        let text = std::fs::read_to_string(self.hint_path(key)).ok()?;
-        let j = Json::parse(&text).ok()?;
-        if j.field("schema").and_then(Json::as_str).ok()? != HINT_SCHEMA {
-            return None;
-        }
-        j.field("wall_ms").and_then(Json::as_f64).ok()
-    }
-
-    /// Every hint file under `hints/`, sorted by cell digest.
-    pub fn hint_files(&self) -> Vec<PathBuf> {
-        let mut files = Vec::new();
-        if let Ok(entries) = std::fs::read_dir(self.root.join("hints")) {
-            files.extend(
-                entries
-                    .flatten()
-                    .map(|e| e.path())
-                    .filter(|p| p.extension().is_some_and(|e| e == "json")),
-            );
-        }
-        files.sort();
-        files
-    }
-
-    /// Aggregate shape of the store: entry/byte counts, distinct code
-    /// versions, and how much of the cell population the LPT wall-clock
-    /// hints cover. One directory sweep, no digest verification.
+    /// Aggregate shape of the store: entry/byte counts and distinct
+    /// code versions. One directory sweep, no digest verification.
     pub fn stats(&self) -> StoreStats {
         let mut stats = StoreStats::default();
         let mut versions: std::collections::BTreeSet<String> = Default::default();
-        let mut cells: std::collections::BTreeSet<String> = Default::default();
         for path in self.entry_files() {
             stats.bytes += std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
             match Store::describe(&path) {
                 Ok(meta) => {
                     stats.entries += 1;
                     versions.insert(meta.code_version);
-                    cells.insert(meta.cell);
                 }
                 Err(_) => stats.corrupt += 1,
             }
         }
         stats.code_versions = versions.len() as u64;
-        let hinted: std::collections::BTreeSet<String> = self
-            .hint_files()
-            .iter()
-            .filter_map(|p| p.file_stem().and_then(|s| s.to_str()).map(str::to_string))
-            .collect();
-        stats.hints = hinted.len() as u64;
-        stats.hint_coverage = if cells.is_empty() {
-            1.0
-        } else {
-            cells.iter().filter(|c| hinted.contains(*c)).count() as f64 / cells.len() as f64
-        };
         stats
     }
 
@@ -505,7 +421,6 @@ impl Store {
         };
         Ok(EntryMeta {
             key: field("key")?,
-            cell: field("cell")?,
             code_version: field("code_version")?,
             bench: field("bench")?,
             label: field("label")?,
@@ -527,12 +442,7 @@ impl Store {
         }
         let key_hash = u64::from_str_radix(&meta.key, 16)
             .map_err(|_| format!("entry key `{}` is not 16 hex digits", meta.key))?;
-        let cell_hash = u64::from_str_radix(&meta.cell, 16)
-            .map_err(|_| format!("entry cell `{}` is not 16 hex digits", meta.cell))?;
-        let key = CellKey {
-            cell_hash,
-            key_hash,
-        };
+        let key = CellKey { key_hash };
         // Digest + schema verification, under the entry's own recorded
         // code version: `verify` audits integrity, not freshness.
         let pinned = Store::with_code_version(&self.root, meta.code_version.clone());
@@ -542,8 +452,7 @@ impl Store {
     }
 
     /// Sweep entries that can never hit again under the current code
-    /// version: stale fingerprints and undecodable files. Hints are
-    /// kept — they are the cost model that survives code changes.
+    /// version: stale fingerprints and undecodable files.
     pub fn gc(&self) -> io::Result<GcReport> {
         let mut report = GcReport::default();
         for path in self.entry_files() {
@@ -614,11 +523,9 @@ mod tests {
         let k1 = a.key(b"identity");
         let k2 = b.key(b"identity");
         let k3 = a.key(b"identitz");
-        // Same identity: shared hint address, distinct store keys.
-        assert_eq!(k1.cell_hash, k2.cell_hash);
+        // Same identity under another code version: a distinct key.
         assert_ne!(k1.key_hash, k2.key_hash);
-        // Different identity: everything moves.
-        assert_ne!(k1.cell_hash, k3.cell_hash);
+        // Different identity: the key moves.
         assert_ne!(k1.key_hash, k3.key_hash);
         // The concatenation is separator-guarded: identity bytes must
         // not bleed into the code version.

@@ -2,8 +2,7 @@
 //! CI stage depends on. A hit must reproduce the miss path's
 //! `GridResult` byte for byte; any identity or code-version change
 //! must miss; corrupt entries must be detected and recomputed; and
-//! shard-invariance must survive mixed hit/miss grids under the LPT
-//! dispatch order.
+//! shard-invariance must survive mixed hit/miss grids.
 
 use bench::grid::{run_scenario_timed, AxisSet, GridSetup, GridSpec};
 use bench::store::Store;
@@ -79,11 +78,6 @@ fn warm_rerun_is_all_hits_and_bit_identical() {
         assert_eq!(c.busy_advanced_quanta, w.busy_advanced_quanta);
         assert_eq!(c.total_quanta, w.total_quanta);
     }
-    // Every computed cell left a wall-clock hint for LPT dispatch.
-    for cell in spec.cells() {
-        let key = store.key(&cell.store_identity(&spec.machine, spec.scale));
-        assert!(store.wall_hint(&key).is_some(), "hint for {}", cell.bench);
-    }
     // Storeless runs report no cache section at all ("no store" and
     // "0% hits" are different facts).
     let (_, bare_t) = spec.run_timed_store(2, None);
@@ -98,13 +92,12 @@ fn any_identity_byte_flip_changes_the_key() {
     let identity = cell.store_identity(&spec.machine, spec.scale);
     let base = store.key(&identity);
 
-    // Flipping any single identity byte moves both digests.
+    // Flipping any single identity byte moves the key.
     for i in 0..identity.len() {
         let mut flipped = identity.clone();
         flipped[i] ^= 1;
         let k = store.key(&flipped);
         assert_ne!(k.key_hash, base.key_hash, "byte {i} did not move the key");
-        assert_ne!(k.cell_hash, base.cell_hash);
     }
     // Structured changes move the key too: scale...
     assert_ne!(
@@ -180,10 +173,10 @@ fn corrupt_entries_are_detected_and_recomputed() {
 }
 
 #[test]
-fn shard_invariance_holds_under_mixed_hits_and_lpt_order() {
+fn shard_invariance_holds_under_mixed_hits_and_misses() {
     let spec = tiny_spec();
     // Two identically half-warmed stores (the UTS cells hit, the
-    // SOR-irt cells miss and take the LPT-ordered queue)...
+    // SOR-irt cells miss)...
     let a = Store::with_code_version(test_root("shards-a"), "cv-test");
     let b = Store::with_code_version(test_root("shards-b"), "cv-test");
     half_spec().run_timed_store(2, Some(&a));
@@ -252,27 +245,23 @@ fn entry_listing_is_sorted_ascending_by_key() {
 }
 
 #[test]
-fn stats_reports_entries_versions_and_hint_coverage() {
+fn stats_reports_entries_versions_and_corrupt_files() {
     let root = test_root("stats");
     let v1 = Store::with_code_version(&root, "cv-one");
     let v2 = Store::with_code_version(&root, "cv-two");
 
-    // Empty store: nothing to cover, coverage is vacuously full.
     let empty = v1.stats();
     assert_eq!((empty.entries, empty.corrupt, empty.bytes), (0, 0, 0));
-    assert_eq!((empty.code_versions, empty.hints), (0, 0));
-    assert!((empty.hint_coverage - 1.0).abs() < 1e-12);
+    assert_eq!(empty.code_versions, 0);
 
     // 2 cells under cv-one + the same 2 of 4 under cv-two: 6 entries,
-    // 2 code versions, 4 distinct identities, each hinted.
+    // 2 code versions.
     half_spec().run_timed_store(2, Some(&v1));
     tiny_spec().run_timed_store(2, Some(&v2));
     let stats = v1.stats();
     assert_eq!(stats.entries, 6);
     assert_eq!(stats.corrupt, 0);
     assert_eq!(stats.code_versions, 2);
-    assert_eq!(stats.hints, 4);
-    assert!((stats.hint_coverage - 1.0).abs() < 1e-12);
     let total: u64 = v1
         .entry_files()
         .iter()
@@ -281,19 +270,14 @@ fn stats_reports_entries_versions_and_hint_coverage() {
     assert_eq!(stats.bytes, total);
 
     // Truncating an entry reclassifies it as corrupt (its bytes still
-    // count); dropping a hint file dents the coverage fraction.
+    // count).
     let files = v1.entry_files();
     let text = std::fs::read_to_string(&files[0]).unwrap();
     std::fs::write(&files[0], &text[..text.len() / 2]).unwrap();
-    // Drop the hint of a cell that still decodes (the corrupt entry's
-    // cell leaves the population, so its hint wouldn't dent coverage).
-    let survivor = Store::describe(&files[1]).unwrap().cell;
-    std::fs::remove_file(root.join("hints").join(format!("{survivor}.json"))).unwrap();
     let dented = v1.stats();
     assert_eq!(dented.entries + dented.corrupt, 6);
     assert_eq!(dented.corrupt, 1);
-    assert_eq!(dented.hints, 3);
-    assert!(dented.hint_coverage < 1.0);
+    assert_eq!(dented.bytes, total - (text.len() - text.len() / 2) as u64);
 }
 
 #[test]

@@ -187,12 +187,8 @@ fn stats(client: &Client, require_all_hits: bool) {
         s.jobs, s.submits, s.coalesced, s.hits, s.misses, s.in_flight, s.wall_ms_saved
     );
     println!(
-        "store: {} entries ({} bytes, {} corrupt), {} code version(s), {:.0}% hint coverage",
-        s.store.entries,
-        s.store.bytes,
-        s.store.corrupt,
-        s.store.code_versions,
-        s.store.hint_coverage * 100.0
+        "store: {} entries ({} bytes, {} corrupt), {} code version(s)",
+        s.store.entries, s.store.bytes, s.store.corrupt, s.store.code_versions
     );
     if require_all_hits && (s.hits == 0 || s.misses != 0 || s.in_flight != 0) {
         eprintln!(

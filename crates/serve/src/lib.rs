@@ -12,17 +12,9 @@
 //!   the artifact bytes replay digest-verified;
 //! * **coalesces** duplicate in-flight submissions onto one
 //!   computation — a million submissions of one scenario cost one run;
-//! * dispatches **misses** LPT-first off the store's wall-clock hints
-//!   onto a worker pool, and commits every computed cell back, so the
-//!   daemon and the batch bins share one cache.
-//!
-//! The dispatch discipline is the grid runner's
-//! ([`run_cells`](bench::grid::run_cells)): longest-estimated-first,
-//! unknown costs first, first-submitted on ties. The grid sorts its
-//! whole (static) miss list once and its pool takes the misses in that
-//! order; the daemon's queue is live, so each worker instead picks the
-//! current maximum under the job-table lock — same order, dynamic
-//! arrivals.
+//! * dispatches **misses** onto a worker pool in arrival order, and
+//!   commits every computed cell back, so the daemon and the batch
+//!   bins share one cache.
 //!
 //! Progress is streamed as typed events (`queued → hit|running →
 //! committed → done`, with the quanta-split counters and wall-clock),

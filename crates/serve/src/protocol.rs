@@ -202,7 +202,7 @@ impl FromJson for Request {
 /// Lifecycle state of a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
-    /// Registered; probing the store or waiting in the LPT queue.
+    /// Registered; probing the store or waiting in the queue.
     Queued,
     /// Executing on a worker.
     Running,

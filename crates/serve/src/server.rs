@@ -1,4 +1,4 @@
-//! The daemon: job table, store probe, LPT worker pool, and the
+//! The daemon: job table, store probe, worker pool, and the
 //! one-request-per-connection TCP front end.
 //!
 //! Every submission lowers to `(machine, scale, cell)` and keys by the
@@ -10,11 +10,10 @@
 //! * **hit** — the store probe (outside the lock; it is disk I/O)
 //!   replays a digest-verified entry: no simulation, events
 //!   `queued → hit → done`;
-//! * **miss** — the job enters the live LPT queue at its wall-clock
-//!   hint (unknown costs first, at `+inf`), a worker computes it via
-//!   the exact grid cell path ([`run_cell_timed`]), commits the entry
-//!   back, and settles it: events `queued → running → committed →
-//!   done`.
+//! * **miss** — the job joins the queue, which workers take in
+//!   arrival order. A worker computes it via the exact grid cell path
+//!   ([`run_cell_timed`]), commits the entry back, and settles it:
+//!   events `queued → running → committed → done`.
 //!
 //! Shutdown is graceful by construction: `draining` refuses new
 //! submissions while the workers run the queue dry, then `stopped`
@@ -28,10 +27,11 @@ use bench::grid::{run_cell_timed, scenario_grid, CellResult, CellSpec, GridResul
 use bench::json::{Json, ToJson};
 use bench::store::{CellKey, Store};
 use simproc::freq::MachineSpec;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// How long a connection may sit idle before its request line is
@@ -47,8 +47,6 @@ struct JobRec {
     machine: MachineSpec,
     scale: f64,
     cell: CellSpec,
-    /// LPT priority: the store's wall-clock hint, `+inf` when unknown.
-    est_ms: f64,
     state: JobState,
     events: Vec<JobEvent>,
     /// The one-cell grid artifact, shared by every reader.
@@ -65,8 +63,8 @@ struct JobRec {
 struct Inner {
     jobs: Vec<JobRec>,
     by_key: HashMap<u64, usize>,
-    /// Indices of queued jobs; workers pop the current cost maximum.
-    queue: Vec<usize>,
+    /// Indices of queued jobs, in arrival order.
+    queue: VecDeque<usize>,
     /// Jobs currently executing on a worker.
     running: usize,
     /// Jobs registered but still probing the store (the probe runs
@@ -133,8 +131,8 @@ impl Server {
     }
 
     /// Serve until a `shutdown` request completes its drain. Joins
-    /// every worker and connection thread before returning, so a
-    /// clean return means nothing is left running.
+    /// every worker and every connection thread still running before
+    /// returning, so a clean return means nothing is left running.
     pub fn run(self) -> io::Result<()> {
         let workers: Vec<_> = (0..self.workers)
             .map(|_| {
@@ -142,12 +140,16 @@ impl Server {
                 std::thread::spawn(move || worker(&shared))
             })
             .collect();
-        let mut conns = Vec::new();
+        let mut conns: Vec<JoinHandle<()>> = Vec::new();
         for stream in self.listener.incoming() {
             if self.shared.lock().stopped {
                 break;
             }
             let Ok(stream) = stream else { continue };
+            // Dropping a finished handle detaches a thread that has
+            // already exited and frees its stack; kept, every closed
+            // connection would hold one mapped until shutdown.
+            conns.retain(|c| !c.is_finished());
             let shared = Arc::clone(&self.shared);
             conns.push(std::thread::spawn(move || handle_conn(&shared, stream)));
         }
@@ -216,7 +218,6 @@ fn submit(shared: &Shared, submission: &Submission) -> Result<JobTicket, String>
         machine: machine.clone(),
         scale,
         cell,
-        est_ms: f64::INFINITY,
         state: JobState::Queued,
         events: Vec::new(),
         artifact: None,
@@ -229,10 +230,6 @@ fn submit(shared: &Shared, submission: &Submission) -> Result<JobTicket, String>
     drop(inner);
 
     let probe = shared.store.load(&key);
-    let est_ms = match &probe {
-        Some(_) => 0.0,
-        None => shared.store.wall_hint(&key).unwrap_or(f64::INFINITY),
-    };
 
     let mut inner = shared.lock();
     inner.probing -= 1;
@@ -254,8 +251,7 @@ fn submit(shared: &Shared, submission: &Submission) -> Result<JobTicket, String>
         }
         None => {
             inner.misses += 1;
-            inner.jobs[idx].est_ms = est_ms;
-            inner.queue.push(idx);
+            inner.queue.push_back(idx);
             JobState::Queued
         }
     };
@@ -267,20 +263,6 @@ fn submit(shared: &Shared, submission: &Submission) -> Result<JobTicket, String>
     })
 }
 
-/// Pop the queued job with the largest cost estimate — live LPT, the
-/// grid runner's dispatch order under dynamic arrivals. Strict `>`
-/// keeps the scan stable: ties (and the all-`+inf` cold case) go to
-/// the first-submitted job.
-fn pop_lpt(inner: &mut Inner) -> Option<usize> {
-    let mut best: Option<usize> = None;
-    for (pos, &job) in inner.queue.iter().enumerate() {
-        if best.is_none_or(|b| inner.jobs[job].est_ms > inner.jobs[inner.queue[b]].est_ms) {
-            best = Some(pos);
-        }
-    }
-    best.map(|pos| inner.queue.remove(pos))
-}
-
 fn worker(shared: &Shared) {
     loop {
         let (idx, machine, scale, cell, key) = {
@@ -289,7 +271,7 @@ fn worker(shared: &Shared) {
                 if inner.stopped {
                     return;
                 }
-                if let Some(idx) = pop_lpt(&mut inner) {
+                if let Some(idx) = inner.queue.pop_front() {
                     inner.running += 1;
                     let job = &mut inner.jobs[idx];
                     job.state = JobState::Running;

@@ -29,6 +29,10 @@
 //! from a count of chunks not yet handed out rather than a scan of
 //! every core's cursor.
 //!
+//! Every random choice (victim selection here, the spawn-tree and UTS
+//! shapes in `workloads`) draws from one seeded generator,
+//! [`SplitMix64`].
+//!
 //! Cuttlefish itself never sees any of this — it observes only the MSR
 //! counter streams the execution produces, which is precisely the
 //! paper's obliviousness claim.
@@ -39,11 +43,13 @@
 //! the programming model end-to-end on actual threads (see the
 //! `irregular_tasks` example).
 
+pub mod rng;
 pub mod share;
 pub mod steal;
 pub mod task;
 pub mod threaded;
 
+pub use rng::SplitMix64;
 pub use share::{Region, WorkSharingScheduler};
 pub use steal::WorkStealingScheduler;
 pub use task::{DagBuilder, TaskDag, TaskId};

@@ -93,8 +93,19 @@ pub struct WorkSharingScheduler {
 
 impl WorkSharingScheduler {
     /// Schedule `regions` in order over `n_cores` cores.
+    ///
+    /// Panics if a region is wider than `n_cores`: the lists past the
+    /// scheduler's width would never be handed out, so that region
+    /// would never drain.
     pub fn new(mut regions: Vec<Region>, n_cores: usize) -> Self {
         assert!(n_cores > 0);
+        for r in &regions {
+            assert!(
+                r.width() <= n_cores,
+                "region of width {} on a {n_cores}-core work-sharing scheduler",
+                r.width()
+            );
+        }
         regions.reverse();
         let mut s = WorkSharingScheduler {
             regions,
@@ -130,8 +141,6 @@ impl WorkSharingScheduler {
     }
 
     /// Whether every chunk of the current region has been handed out.
-    /// (Lists of cores beyond the scheduler's width are never handed
-    /// out, so a region wider than the machine never drains.)
     fn region_drained(&self) -> bool {
         self.undrained == 0
     }
@@ -276,6 +285,13 @@ mod tests {
         let secs = p.run(&mut s, |_| {});
         let serial = 4.0 * 500_000.0 / p.core_freq().hz();
         assert!(secs >= serial);
+    }
+
+    #[test]
+    #[should_panic(expected = "region of width 8 on a 4-core work-sharing scheduler")]
+    fn region_wider_than_the_scheduler_is_refused() {
+        let wide = Region::from_parts((0..8).map(|_| vec![chunk(1_000)]).collect());
+        WorkSharingScheduler::new(vec![wide], 4);
     }
 
     #[test]

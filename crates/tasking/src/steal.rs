@@ -11,9 +11,8 @@
 //! that follows a completed chunk doubles as the completion signal, at
 //! which point the task's successors are released.
 
+use crate::rng::SplitMix64;
 use crate::task::{TaskDag, TaskId};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use simproc::engine::{Chunk, Workload};
 use std::collections::VecDeque;
 
@@ -36,7 +35,7 @@ pub struct WorkStealingScheduler {
     deques: Vec<VecDeque<u32>>,
     running: Vec<Option<u32>>,
     completed: usize,
-    rng: SmallRng,
+    rng: SplitMix64,
     stats: StealStats,
 }
 
@@ -57,7 +56,7 @@ impl WorkStealingScheduler {
             deques,
             running: vec![None; n_cores],
             completed: 0,
-            rng: SmallRng::seed_from_u64(seed),
+            rng: SplitMix64::new(seed),
             stats: StealStats::default(),
         }
     }
@@ -101,7 +100,7 @@ impl WorkStealingScheduler {
         }
         // Random starting victim, then sweep the whole ring once; this
         // bounds the work per acquire while keeping victim choice random.
-        let start = self.rng.gen_range(0..n);
+        let start = self.rng.below(n);
         for k in 0..n {
             let v = (start + k) % n;
             if v == core {

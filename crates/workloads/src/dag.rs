@@ -11,11 +11,9 @@
 //! so a parent is scheduled before any of its children, exactly like an
 //! OpenMP `task` or HClib `async` that spawns further tasks.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use simproc::engine::Chunk;
 use simproc::perf::CostProfile;
-use tasking::{DagBuilder, TaskId};
+use tasking::{DagBuilder, SplitMix64, TaskId};
 
 /// Cost of an interior spawn node: a few tens of microseconds of
 /// runtime bookkeeping, negligible misses.
@@ -39,17 +37,17 @@ pub fn spawn_tree(
     b: &mut DagBuilder,
     leaves: &[TaskId],
     shape: TreeShape,
-    rng: &mut SmallRng,
+    rng: &mut SplitMix64,
 ) -> TaskId {
     assert!(!leaves.is_empty(), "spawn tree needs at least one leaf");
     build_subtree(b, leaves, shape, rng)
 }
 
-fn pick_degree(shape: TreeShape, rng: &mut SmallRng) -> usize {
+fn pick_degree(shape: TreeShape, rng: &mut SplitMix64) -> usize {
     match shape {
         TreeShape::Regular(d) => d.max(2),
         TreeShape::Irregular => {
-            if rng.gen_bool(0.5) {
+            if rng.chance(0.5) {
                 3
             } else {
                 5
@@ -62,7 +60,7 @@ fn build_subtree(
     b: &mut DagBuilder,
     leaves: &[TaskId],
     shape: TreeShape,
-    rng: &mut SmallRng,
+    rng: &mut SplitMix64,
 ) -> TaskId {
     let node = b.add_task(spawn_node_chunk());
     let d = pick_degree(shape, rng);
@@ -105,8 +103,8 @@ fn even_split(n: usize, d: usize) -> impl Iterator<Item = usize> {
 
 /// The first part of a skewed split of `n` into `d` parts: 35-65% of
 /// the span, leaving at least one for each other part where `n` allows.
-fn skewed_first(n: usize, d: usize, rng: &mut SmallRng) -> usize {
-    let first = ((n as f64) * rng.gen_range(0.35..0.65)).round() as usize;
+fn skewed_first(n: usize, d: usize, rng: &mut SplitMix64) -> usize {
+    let first = ((n as f64) * rng.uniform(0.35, 0.65)).round() as usize;
     first.clamp(1, n.saturating_sub(d - 1).max(1))
 }
 
@@ -121,7 +119,7 @@ pub fn iterative_tree_dag(
     mut make_leaves: impl FnMut(usize, &mut DagBuilder) -> Vec<TaskId>,
 ) -> tasking::TaskDag {
     let mut b = DagBuilder::default();
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut prev_leaves: Vec<TaskId> = Vec::new();
     for iter in 0..iters {
         let leaves = make_leaves(iter, &mut b);
@@ -154,7 +152,7 @@ mod tests {
     fn regular_tree_has_uniform_degree() {
         let mut b = DagBuilder::default();
         let ls = leaves(&mut b, 81);
-        let mut rng = SmallRng::seed_from_u64(1);
+        let mut rng = SplitMix64::new(1);
         spawn_tree(&mut b, &ls, TreeShape::Regular(3), &mut rng);
         let dag = b.build();
         for d in interior_degrees(&dag, 81) {
@@ -171,7 +169,7 @@ mod tests {
     fn irregular_tree_mixes_degrees() {
         let mut b = DagBuilder::default();
         let ls = leaves(&mut b, 200);
-        let mut rng = SmallRng::seed_from_u64(7);
+        let mut rng = SplitMix64::new(7);
         spawn_tree(&mut b, &ls, TreeShape::Irregular, &mut rng);
         let dag = b.build();
         let degrees = interior_degrees(&dag, 200);
@@ -184,7 +182,7 @@ mod tests {
         for shape in [TreeShape::Regular(3), TreeShape::Irregular] {
             let mut b = DagBuilder::default();
             let ls = leaves(&mut b, 57);
-            let mut rng = SmallRng::seed_from_u64(3);
+            let mut rng = SplitMix64::new(3);
             spawn_tree(&mut b, &ls, shape, &mut rng);
             let dag = b.build();
             // Every leaf has in-degree exactly 1 (its spawner).
@@ -199,7 +197,7 @@ mod tests {
     fn single_leaf_tree() {
         let mut b = DagBuilder::default();
         let ls = leaves(&mut b, 1);
-        let mut rng = SmallRng::seed_from_u64(3);
+        let mut rng = SplitMix64::new(3);
         let root = spawn_tree(&mut b, &ls, TreeShape::Irregular, &mut rng);
         let dag = b.build();
         assert_eq!(dag.successors(root), &[ls[0].0]);

@@ -15,11 +15,9 @@
 //! geometric UTS with a splitmix-style node hash.
 
 use crate::{Benchmark, BuiltWorkload, Scale, Style};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use simproc::engine::Chunk;
 use simproc::perf::CostProfile;
-use tasking::{DagBuilder, TaskId};
+use tasking::{DagBuilder, SplitMix64, TaskId};
 
 /// Paper-reported Default execution time (Table 1).
 pub const PAPER_TIME_S: f64 = 69.9;
@@ -58,7 +56,7 @@ fn task_chunk(instr: u64) -> Chunk {
 pub fn build(scale: Scale, _n_cores: usize) -> BuiltWorkload {
     let total = paper_total_instructions() * scale.0;
     let mut b = DagBuilder::default();
-    let mut rng = SmallRng::seed_from_u64(0x0715_0001);
+    let mut rng = SplitMix64::new(0x0715_0001);
 
     // Frontier of (task, remaining-budget-for-subtree).
     let root_instr = 8.0e6;
@@ -72,17 +70,17 @@ pub fn build(scale: Scale, _n_cores: usize) -> BuiltWorkload {
         // Number of children: skewed 1..=4 (geometric-ish); leaves occur
         // when the budget runs out, which the skewed splits make happen
         // at very different depths across the tree.
-        let n_children = rng.gen_range(1..=4);
+        let n_children = 1 + rng.below(4);
         let mut weights = [0.0f64; 4];
         let mut sum = 0.0;
         for w in weights.iter_mut().take(n_children) {
-            *w = rng.gen_range(0.1..1.0f64).powi(2);
+            *w = rng.uniform(0.1, 1.0).powi(2);
             sum += *w;
         }
         for w in weights.iter().take(n_children) {
             let share = budget * w / sum;
             // Each task does 4-16 M instructions of traversal itself.
-            let own = rng.gen_range(4.0e6..16.0e6f64).min(share);
+            let own = rng.uniform(4.0e6, 16.0e6).min(share);
             if own < 1.0e6 {
                 continue;
             }
@@ -121,7 +119,7 @@ pub struct DynamicUts {
     local: Vec<Vec<(u64, f64)>>,
     /// Shared overflow pool (victims push here when their stack grows).
     shared: Vec<(u64, f64)>,
-    rng: SmallRng,
+    rng: SplitMix64,
 }
 
 impl DynamicUts {
@@ -131,16 +129,16 @@ impl DynamicUts {
         DynamicUts {
             local: vec![Vec::new(); n_cores],
             shared: vec![(seed, total)],
-            rng: SmallRng::seed_from_u64(seed),
+            rng: SplitMix64::new(seed),
         }
     }
 
     /// Expand one descriptor: take its own work, split the rest among
     /// 0–4 children pushed back to `core`'s stack.
     fn expand(&mut self, core: usize, node_seed: u64, budget: f64) -> Chunk {
-        let own = self.rng.gen_range(4.0e6..16.0e6f64).min(budget);
+        let own = self.rng.uniform(4.0e6, 16.0e6).min(budget);
         let mut rest = budget - own;
-        let n_children = self.rng.gen_range(1..=4usize);
+        let n_children = 1 + self.rng.below(4);
         for c in 0..n_children {
             if rest < 1.0e6 {
                 break;
@@ -148,7 +146,7 @@ impl DynamicUts {
             let share = if c + 1 == n_children {
                 rest
             } else {
-                rest * self.rng.gen_range(0.2..0.8)
+                rest * self.rng.uniform(0.2, 0.8)
             };
             let child = (node_hash(node_seed ^ (c as u64 + 1)), share);
             // Overflow beyond a small local stack goes to the shared

@@ -89,7 +89,7 @@ pub mod strategy {
 
     int_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
-    // f64 only, matching the shimmed rand (no f32 sampling in the tree).
+    // f64 only: the tree samples no f32.
     impl Strategy for core::ops::Range<f64> {
         type Value = f64;
         fn sample(&self, rng: &mut TestRng) -> f64 {
