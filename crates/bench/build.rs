@@ -7,9 +7,9 @@
 //! Release numbers are far too coarse (every PR changes behaviour) and
 //! git metadata is unavailable to a plain `cargo build`, so the
 //! fingerprint is a digest of the workspace sources themselves: every
-//! `*.rs` and `Cargo.toml` under `crates/` and `shims/`, plus the root
-//! manifest and lockfile, hashed with the same FNV-1a the store uses
-//! at runtime. Conservative by design — a comment edit invalidates the
+//! `*.rs` and `Cargo.toml` under `crates/`, plus the root manifest and
+//! lockfile, hashed with the same FNV-1a the store uses at runtime.
+//! Conservative by design — a comment edit invalidates the
 //! store — because recomputing a cell is cheap and replaying a wrong
 //! one is not.
 
@@ -37,8 +37,8 @@ fn collect(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in entries.flatten() {
         let path = entry.path();
         if path.is_dir() {
-            // `target/` never lives under crates/ or shims/, but guard
-            // anyway: derived artifacts must not feed the fingerprint.
+            // `target/` never lives under crates/, but guard anyway:
+            // derived artifacts must not feed the fingerprint.
             if path.file_name().is_some_and(|n| n == "target") {
                 continue;
             }
@@ -56,10 +56,9 @@ fn main() {
     let manifest = PathBuf::from(std::env::var("CARGO_MANIFEST_DIR").unwrap());
     let root = manifest.ancestors().nth(2).unwrap().to_path_buf();
 
+    let crates = root.join("crates");
     let mut files = Vec::new();
-    for tree in ["crates", "shims"] {
-        collect(&root.join(tree), &mut files);
-    }
+    collect(&crates, &mut files);
     for extra in ["Cargo.toml", "Cargo.lock"] {
         let path = root.join(extra);
         if path.is_file() {
@@ -85,10 +84,8 @@ fn main() {
         println!("cargo:rerun-if-changed={}", path.display());
     }
     // New/removed files change the sorted list only once cargo reruns
-    // us; watching the directories makes additions trigger that rerun.
-    for tree in ["crates", "shims"] {
-        println!("cargo:rerun-if-changed={}", root.join(tree).display());
-    }
+    // us; watching the directory makes additions trigger that rerun.
+    println!("cargo:rerun-if-changed={}", crates.display());
 
     println!("cargo:rustc-env=CUTTLEFISH_CODE_FINGERPRINT={hash:016x}");
 }

@@ -56,7 +56,7 @@ fn usage_error(msg: &str) -> ! {
 }
 
 fn main() {
-    let args = GridArgs::parse(USAGE);
+    let args = GridArgs::parse_with(USAGE, &[], 2);
     let spec = spec(&args);
     if args.handle_scenario_or_list(&spec) {
         return;

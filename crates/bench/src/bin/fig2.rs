@@ -60,7 +60,7 @@ fn spec(args: &GridArgs) -> GridSpec {
 }
 
 fn main() {
-    let mut args = GridArgs::parse_with(USAGE, &["--csv"]);
+    let mut args = GridArgs::parse_with(USAGE, &["--csv"], 0);
     let csv = args.take_flag("--csv");
     let spec = spec(&args);
     if args.handle_scenario_or_list(&spec) {

@@ -19,12 +19,16 @@
 //!   [`bench::store`](crate::store));
 //! * `--no-store` — bypass the store entirely (every cell executes).
 //!
-//! Bin-specific flags (`--csv`, positionals) pass through untouched.
+//! Bin-specific flags (`--csv`) and positionals pass through untouched;
+//! only `debug_report` takes positionals. Any other argument is a
+//! usage error (exit 2), and so is a `CUTTLEFISH_SCALE` that is not a
+//! finite number: a typo must never fall through to a paper-scale run.
 
 use crate::grid::{GridResult, GridSpec, GridTiming};
 use crate::json::ToJson;
 use crate::scenario::Scenario;
 use crate::store::{resolve_root, Store};
+use crate::MAX_SCALE;
 
 /// Scale every `--smoke` grid runs at: small enough for PR-time CI,
 /// large enough that daemons resolve optima on the short benchmarks.
@@ -52,16 +56,19 @@ pub struct GridArgs {
 
 impl GridArgs {
     /// Parse `std::env::args`; `usage` is printed on `--help` or on a
-    /// malformed flag. Unknown `--flags` are fatal (a typo like
-    /// `--smoek` must not silently run the full paper-scale grid);
-    /// bins with extra flags declare them via [`GridArgs::parse_with`].
+    /// malformed argument. Unknown flags (`--smoek`, `-smoke`) and
+    /// stray positionals are fatal: a typo must not silently run the
+    /// full paper-scale grid. Bins with extra flags or positionals
+    /// declare them via [`GridArgs::parse_with`].
     pub fn parse(usage: &str) -> GridArgs {
-        Self::parse_with(usage, &[])
+        Self::parse_with(usage, &[], 0)
     }
 
     /// [`GridArgs::parse`] with bin-specific boolean flags (e.g.
-    /// `&["--csv"]`) passed through to [`GridArgs::take_flag`].
-    pub fn parse_with(usage: &str, extra_flags: &[&str]) -> GridArgs {
+    /// `&["--csv"]`) passed through to [`GridArgs::take_flag`], and at
+    /// most `max_positionals` positionals (see
+    /// [`GridArgs::positionals`]).
+    pub fn parse_with(usage: &str, extra_flags: &[&str], max_positionals: usize) -> GridArgs {
         let mut shards = default_shards();
         let mut smoke = false;
         let mut json = None;
@@ -70,6 +77,7 @@ impl GridArgs {
         let mut store_root = None;
         let mut no_store = false;
         let mut rest = Vec::new();
+        let mut positionals = 0;
         let mut args = std::env::args().skip(1);
         while let Some(arg) = args.next() {
             match arg.as_str() {
@@ -105,10 +113,17 @@ impl GridArgs {
                     println!("{usage}");
                     std::process::exit(0);
                 }
-                other if other.starts_with("--") && !extra_flags.contains(&other) => {
+                other if extra_flags.contains(&other) => rest.push(arg),
+                other if other.starts_with('-') => {
                     die(usage, &format!("unknown flag `{other}`"));
                 }
-                _ => rest.push(arg),
+                other if positionals == max_positionals => {
+                    die(usage, &format!("unexpected argument `{other}`"));
+                }
+                _ => {
+                    positionals += 1;
+                    rest.push(arg);
+                }
             }
         }
         GridArgs {
@@ -250,12 +265,25 @@ impl GridArgs {
 
     /// The scale this invocation runs at: `--smoke` pins
     /// [`SMOKE_SCALE`] (CI artifacts must not depend on the
-    /// environment); otherwise `CUTTLEFISH_SCALE` applies as before.
+    /// environment); otherwise `CUTTLEFISH_SCALE`, default 1.0 (the
+    /// paper's full-length runs), clamped to `0.01..=`[`MAX_SCALE`].
+    /// A value that is not a finite number exits 2, naming it.
     pub fn scale(&self) -> f64 {
         if self.smoke {
-            SMOKE_SCALE
-        } else {
-            crate::harness_scale().0
+            return SMOKE_SCALE;
+        }
+        let Some(raw) = std::env::var_os("CUTTLEFISH_SCALE") else {
+            return 1.0;
+        };
+        match raw.to_str().and_then(|v| v.parse::<f64>().ok()) {
+            Some(s) if s.is_finite() => s.clamp(0.01, MAX_SCALE),
+            _ => {
+                eprintln!(
+                    "error: CUTTLEFISH_SCALE `{}` is not a finite number",
+                    raw.to_string_lossy()
+                );
+                std::process::exit(2);
+            }
         }
     }
 

@@ -1,11 +1,10 @@
 //! Deterministic JSON encoding for the grid artifacts.
 //!
-//! The workspace has no `serde` (the build is offline — see
-//! `shims/README.md`), so the machine-readable artifacts the CI
-//! pipeline gates on are encoded by this module: a small JSON value
-//! type, a byte-deterministic emitter, and a parser. Determinism is a
-//! hard requirement the real `serde_json` would not state as a
-//! contract — the shard-invariance gate compares artifact *bytes*
+//! The machine-readable artifacts the CI pipeline gates on are encoded
+//! by this module: a small JSON value type, a byte-deterministic
+//! emitter, and a parser. The workspace uses no `serde`, because
+//! determinism is a hard requirement `serde_json` would not promise as
+//! a contract — the shard-invariance gate compares artifact *bytes*
 //! across thread counts — so the emitter pins key order (insertion
 //! order of [`Json::Obj`]) and number formatting (Rust's shortest
 //! round-trip `Display`, which `parse::<f64>()` inverts exactly).

@@ -240,18 +240,8 @@ pub fn par_map<T: Sync, R: Send + Sync>(
 /// A task benchmark's graph grows with its scale (UTS holds about
 /// 0.5 M tasks at 1.0), so this also bounds a cell's memory.
 /// [`Scenario::validate`](scenario::Scenario::validate) refuses larger
-/// scales, and [`harness_scale`] clamps to it.
+/// scales, and [`cli::GridArgs::scale`] clamps `CUTTLEFISH_SCALE` to it.
 pub const MAX_SCALE: f64 = 2.0;
-
-/// Scale for harness binaries: `CUTTLEFISH_SCALE` env var, default 1.0
-/// (the paper's full-length runs), clamped to `0.01..=`[`MAX_SCALE`].
-pub fn harness_scale() -> workloads::Scale {
-    let s = std::env::var("CUTTLEFISH_SCALE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(1.0);
-    workloads::Scale(s.clamp(0.01, MAX_SCALE))
-}
 
 #[cfg(test)]
 mod tests {

@@ -9,9 +9,9 @@ use bench::{Setup, HARNESS_SEED};
 use cluster::SteppingMode;
 use cuttlefish::controller::{NodePolicy, OracleEntry, OracleTable, PidGains};
 use cuttlefish::{Config, Policy, TipiSlab};
-use proptest::collection;
-use proptest::prelude::*;
 use simproc::freq::{Freq, HASWELL_2650V3};
+use simproc::SplitMix64;
+use std::ops::Range;
 use workloads::{ChunkPhase, ProgModel, SyntheticSpec, WorkloadSpec};
 
 /// Work-sharing benchmarks (the only ones a BSP topology accepts).
@@ -134,41 +134,42 @@ fn scenario_from(
     builder.rep(rep).build()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn scenario_json_round_trip_is_lossless(
-        (synthetic_pick, bench_idx, hclib_pick, scale_step) in (0u32..2, 0usize..10, 0u32..2, 1u32..9),
-        (nodes_n, policy_pick, tinv_ms, rep) in (1usize..5, 0u32..6, 1u64..80, 0u32..5),
-        (bsp_pick, supersteps, comm_step, trace_pick) in (0u32..2, 1u32..16, 0u32..100, 0u32..2),
-        (weighted_pick, hetero_pick) in (0u32..2, 0u32..2),
-        phases in collection::vec(
-            (1u64..5, 1u64..2_000_000, 0u64..60_000, 0u64..9_000, 1u32..12, 1u32..16).prop_map(
-                |(chunks, instructions, misses_local, misses_remote, cpi_d, mlp)| ChunkPhase {
-                    chunks,
-                    instructions,
-                    misses_local,
-                    misses_remote,
-                    cpi: f64::from(cpi_d) * 0.1,
-                    mlp: f64::from(mlp),
-                },
-            ),
-            1..4,
-        ),
-    ) {
+/// 128 seeded cases; case `i` draws from `SplitMix64::new(i)`, and a
+/// failure names its case.
+#[test]
+fn scenario_json_round_trip_is_lossless() {
+    for case in 0..128 {
+        let mut rng = SplitMix64::new(case);
+        let mut draw = |r: Range<u64>| r.start + rng.below((r.end - r.start) as usize) as u64;
+        let (synthetic_pick, bench_idx, hclib_pick, scale_step) =
+            (draw(0..2), draw(0..10), draw(0..2), draw(1..9));
+        let (nodes_n, policy_pick, tinv_ms, rep) =
+            (draw(1..5), draw(0..6), draw(1..80), draw(0..5));
+        let (bsp_pick, supersteps, comm_step, trace_pick) =
+            (draw(0..2), draw(1..16), draw(0..100), draw(0..2));
+        let (weighted_pick, hetero_pick) = (draw(0..2), draw(0..2));
+        let phases: Vec<ChunkPhase> = (0..draw(1..4))
+            .map(|_| ChunkPhase {
+                chunks: draw(1..5),
+                instructions: draw(1..2_000_000),
+                misses_local: draw(0..60_000),
+                misses_remote: draw(0..9_000),
+                cpi: draw(1..12) as f64 * 0.1,
+                mlp: draw(1..16) as f64,
+            })
+            .collect();
         let scenario = scenario_from(
             synthetic_pick == 1,
-            bench_idx,
+            bench_idx as usize,
             hclib_pick == 1,
-            scale_step,
-            nodes_n,
-            policy_pick,
+            scale_step as u32,
+            nodes_n as usize,
+            policy_pick as u32,
             tinv_ms,
-            rep,
+            rep as u32,
             bsp_pick == 1,
-            supersteps,
-            comm_step,
+            supersteps as u32,
+            comm_step as u32,
             trace_pick == 1,
             weighted_pick == 1,
             hetero_pick == 1,
@@ -176,12 +177,15 @@ proptest! {
         );
         let text = scenario.to_json_string();
         let parsed = Scenario::from_json_str(&text)
-            .map_err(|e| TestCaseError::fail(format!("parse failed: {e}\n{text}")))?;
-        prop_assert_eq!(&parsed, &scenario, "typed round-trip must be lossless");
-        prop_assert_eq!(
+            .unwrap_or_else(|e| panic!("case {case}: parse failed: {e}\n{text}"));
+        assert_eq!(
+            &parsed, &scenario,
+            "case {case}: typed round-trip must be lossless"
+        );
+        assert_eq!(
             parsed.to_json_string(),
             text,
-            "re-serialization must be byte-identical"
+            "case {case}: re-serialization must be byte-identical"
         );
     }
 }

@@ -1283,11 +1283,6 @@ impl PidUncore {
         &self.gains
     }
 
-    /// The delegated core-search driver (reports, tests).
-    pub fn core_driver(&self) -> &CuttlefishDriver {
-        &self.core
-    }
-
     /// The error signal at the current machine state. The controlled
     /// variable is traffic relative to the *uncore-sustainable*
     /// bandwidth (`bw_per_uncore_ghz · UF`), deliberately not the

@@ -401,11 +401,6 @@ impl SimProcessor {
         self.msr.read_core(core, addr)
     }
 
-    /// MSR write.
-    pub fn msr_write(&mut self, addr: u32, value: u64) -> Result<(), MsrError> {
-        self.msr.write(addr, value)
-    }
-
     /// Per-core MSR write (e.g. `IA32_CLOCK_MODULATION` for DDCM).
     pub fn msr_write_core(&mut self, core: usize, addr: u32, value: u64) -> Result<(), MsrError> {
         self.msr.write_core(core, addr, value)

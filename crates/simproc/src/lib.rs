@@ -29,6 +29,8 @@
 //! * [`governor`] — the `Default` baseline (performance governor + BIOS
 //!   "Auto" uncore controller)
 //! * [`profile`] — counter snapshot/delta helpers (TIPI/JPI arithmetic)
+//! * [`rng`] — [`SplitMix64`], the seeded generator behind every random
+//!   choice in the simulation
 //!
 //! ## Quick example
 //!
@@ -63,7 +65,9 @@ pub mod msr;
 pub mod perf;
 pub mod power;
 pub mod profile;
+pub mod rng;
 
 pub use engine::{Chunk, SimProcessor, Workload};
 pub use freq::{Freq, FreqDomain, MachineSpec, HASWELL_2650V3};
 pub use governor::DefaultGovernor;
+pub use rng::SplitMix64;

@@ -125,11 +125,6 @@ impl PowerModel {
         let u = util.clamp(0.0, 1.0);
         u + self.halt_fraction * (1.0 - u)
     }
-
-    /// Uncore voltage curve (public for tests and docs).
-    pub fn uncore_volts(&self, uf: Freq) -> f64 {
-        self.v_uncore.volts(uf)
-    }
 }
 
 #[cfg(test)]

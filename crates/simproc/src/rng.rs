@@ -58,6 +58,18 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.below(1000), b.below(1000));
         }
+        // The published stream: the first outputs of the reference
+        // `splitmix64.c` seeded with 0.
+        let mut z = SplitMix64::new(0);
+        let head = [z.next_u64(), z.next_u64(), z.next_u64()];
+        assert_eq!(
+            head,
+            [
+                0xE220_A839_7B1D_CDAF,
+                0x6E78_9E6A_A1B9_65F4,
+                0x06C4_5D18_8009_454F
+            ]
+        );
     }
 
     #[test]

@@ -31,25 +31,16 @@
 //!
 //! Every random choice (victim selection here, the spawn-tree and UTS
 //! shapes in `workloads`) draws from one seeded generator,
-//! [`SplitMix64`].
+//! [`simproc::SplitMix64`].
 //!
 //! Cuttlefish itself never sees any of this — it observes only the MSR
 //! counter streams the execution produces, which is precisely the
 //! paper's obliviousness claim.
-//!
-//! A third module, [`threaded`], is a *real* (host-thread) async–finish
-//! work-stealing pool with the HClib-style `finish(|scope| scope.spawn(…))`
-//! API. It is not connected to the simulator; it exists to demonstrate
-//! the programming model end-to-end on actual threads (see the
-//! `irregular_tasks` example).
 
-pub mod rng;
 pub mod share;
 pub mod steal;
 pub mod task;
-pub mod threaded;
 
-pub use rng::SplitMix64;
 pub use share::{Region, WorkSharingScheduler};
 pub use steal::WorkStealingScheduler;
 pub use task::{DagBuilder, TaskDag, TaskId};

@@ -11,9 +11,9 @@
 //! that follows a completed chunk doubles as the completion signal, at
 //! which point the task's successors are released.
 
-use crate::rng::SplitMix64;
 use crate::task::{TaskDag, TaskId};
 use simproc::engine::{Chunk, Workload};
+use simproc::SplitMix64;
 use std::collections::VecDeque;
 
 /// Counters describing a finished schedule, for tests and traces.

@@ -1,11 +1,29 @@
 //! Property-based tests over the schedulers: any well-formed DAG must
 //! execute to completion, exactly once per task, under every
-//! scheduling discipline, on any core count.
+//! scheduling discipline, on any core count. Each property runs
+//! `CASES` seeded cases; case `i` draws from `SplitMix64::new(i)`, and
+//! a failure names its case.
 
-use proptest::prelude::*;
 use simproc::engine::{Chunk, SimProcessor, Workload};
 use simproc::freq::{Freq, FreqDomain, MachineSpec};
+use simproc::SplitMix64;
+use std::ops::Range;
 use tasking::{DagBuilder, Region, TaskDag, TaskId, WorkSharingScheduler, WorkStealingScheduler};
+
+const CASES: u64 = 64;
+
+/// A uniform draw from `range`.
+fn pick(rng: &mut SplitMix64, range: Range<usize>) -> usize {
+    range.start + rng.below(range.len())
+}
+
+/// A `lens`-long list of random `(from, to)` pairs over `0..slots`.
+fn pairs(rng: &mut SplitMix64, slots: usize, lens: Range<usize>) -> Vec<(usize, usize)> {
+    let len = pick(rng, lens);
+    (0..len)
+        .map(|_| (pick(rng, 0..slots), pick(rng, 0..slots)))
+        .collect()
+}
 
 fn machine(n_cores: usize) -> MachineSpec {
     MachineSpec {
@@ -33,16 +51,14 @@ fn random_dag(n: usize, edges: &[(usize, usize)]) -> TaskDag {
     b.build()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn work_stealing_completes_any_dag(
-        n in 1usize..80,
-        edges in proptest::collection::vec((0usize..80, 0usize..80), 0..160),
-        n_cores in 1usize..8,
-        seed in 0u64..1000,
-    ) {
+#[test]
+fn work_stealing_completes_any_dag() {
+    for case in 0..CASES {
+        let mut rng = SplitMix64::new(case);
+        let n = pick(&mut rng, 1..80);
+        let edges = pairs(&mut rng, 80, 0..160);
+        let n_cores = pick(&mut rng, 1..8);
+        let seed = pick(&mut rng, 0..1000) as u64;
         let dag = random_dag(n, &edges);
         let total = dag.len();
         let mut p = SimProcessor::new(machine(n_cores));
@@ -51,17 +67,19 @@ proptest! {
         while !p.workload_drained(&s) {
             p.step(&mut s);
             guard += 1;
-            prop_assert!(guard < 2_000_000, "scheduler stalled");
+            assert!(guard < 2_000_000, "case {case}: scheduler stalled");
         }
-        prop_assert_eq!(s.completed(), total);
+        assert_eq!(s.completed(), total, "case {case}");
     }
+}
 
-    #[test]
-    fn central_queue_completes_any_dag(
-        n in 1usize..80,
-        edges in proptest::collection::vec((0usize..80, 0usize..80), 0..160),
-        n_cores in 1usize..8,
-    ) {
+#[test]
+fn central_queue_completes_any_dag() {
+    for case in 0..CASES {
+        let mut rng = SplitMix64::new(case);
+        let n = pick(&mut rng, 1..80);
+        let edges = pairs(&mut rng, 80, 0..160);
+        let n_cores = pick(&mut rng, 1..8);
         let dag = random_dag(n, &edges);
         let total = dag.len();
         let mut p = SimProcessor::new(machine(n_cores));
@@ -70,16 +88,19 @@ proptest! {
         while !p.workload_drained(&s) {
             p.step(&mut s);
             guard += 1;
-            prop_assert!(guard < 2_000_000, "scheduler stalled");
+            assert!(guard < 2_000_000, "case {case}: scheduler stalled");
         }
-        prop_assert_eq!(s.completed(), total);
+        assert_eq!(s.completed(), total, "case {case}");
     }
+}
 
-    #[test]
-    fn work_sharing_executes_every_chunk_exactly_once(
-        sizes in proptest::collection::vec(1usize..30, 1..12),
-        n_cores in 1usize..8,
-    ) {
+#[test]
+fn work_sharing_executes_every_chunk_exactly_once() {
+    for case in 0..CASES {
+        let mut rng = SplitMix64::new(case);
+        let len = pick(&mut rng, 1..12);
+        let sizes: Vec<usize> = (0..len).map(|_| pick(&mut rng, 1..30)).collect();
+        let n_cores = pick(&mut rng, 1..8);
         // Tag each chunk with a unique instruction count so the total
         // instruction counter proves exactly-once execution.
         let mut expected = 0u64;
@@ -104,21 +125,23 @@ proptest! {
         while !p.workload_drained(&s) {
             p.step(&mut s);
             guard += 1;
-            prop_assert!(guard < 2_000_000, "scheduler stalled");
+            assert!(guard < 2_000_000, "case {case}: scheduler stalled");
         }
         let measured = p.total_instructions();
-        prop_assert!(
+        assert!(
             (measured - expected as f64).abs() < 2.0,
-            "instructions: measured {measured}, expected {expected}"
+            "case {case}: instructions: measured {measured}, expected {expected}"
         );
     }
+}
 
-    #[test]
-    fn successors_keep_declaration_order(
-        n in 1usize..60,
-        ranks in proptest::collection::vec(0usize..1000, 60),
-        edges in proptest::collection::vec((0usize..60, 0usize..60), 0..200),
-    ) {
+#[test]
+fn successors_keep_declaration_order() {
+    for case in 0..CASES {
+        let mut rng = SplitMix64::new(case);
+        let n = pick(&mut rng, 1..60);
+        let ranks: Vec<usize> = (0..60).map(|_| pick(&mut rng, 0..1000)).collect();
+        let edges = pairs(&mut rng, 60, 0..200);
         // Edges run from lower to higher `rank`, so the graph is acyclic
         // while its sources interleave and point at lower ids as often
         // as higher ones (duplicate edges included).
@@ -139,16 +162,22 @@ proptest! {
         }
         let dag = b.build();
         for (t, succs) in expected.iter().enumerate() {
-            prop_assert_eq!(dag.successors(TaskId(t as u32)), succs.as_slice());
+            assert_eq!(
+                dag.successors(TaskId(t as u32)),
+                succs.as_slice(),
+                "case {case}, task {t}"
+            );
         }
-        prop_assert_eq!(dag.indegrees(), indeg);
+        assert_eq!(dag.indegrees(), indeg, "case {case}");
     }
+}
 
-    #[test]
-    fn schedulers_agree_on_total_work(
-        n in 1usize..60,
-        edges in proptest::collection::vec((0usize..60, 0usize..60), 0..100),
-    ) {
+#[test]
+fn schedulers_agree_on_total_work() {
+    for case in 0..CASES {
+        let mut rng = SplitMix64::new(case);
+        let n = pick(&mut rng, 1..60);
+        let edges = pairs(&mut rng, 60, 0..100);
         // Different disciplines, same DAG → identical retired
         // instruction totals (work conservation).
         let dag = random_dag(n, &edges);
@@ -161,6 +190,6 @@ proptest! {
         };
         let a = run(&mut WorkStealingScheduler::new(dag.clone(), 4, 1));
         let b = run(&mut tasking::steal::CentralQueueScheduler::new(dag, 4));
-        prop_assert!((a - b).abs() < 2.0, "{a} vs {b}");
+        assert!((a - b).abs() < 2.0, "case {case}: {a} vs {b}");
     }
 }

@@ -100,102 +100,6 @@ pub fn benchmark(scale: Scale) -> Benchmark {
     )
 }
 
-// ---------------------------------------------------------------------
-// Reference numeric kernel: a two-grid V-cycle on the 1-D Laplacian —
-// the algorithmic skeleton the cost model abstracts.
-// ---------------------------------------------------------------------
-
-/// Damped-Jacobi relaxation for `A = tridiag(−1, 2, −1)`.
-pub fn relax(x: &mut [f64], rhs: &[f64], sweeps: usize) {
-    let n = x.len();
-    let omega = 2.0 / 3.0;
-    let mut next = vec![0.0; n];
-    for _ in 0..sweeps {
-        for i in 0..n {
-            let mut sum = rhs[i];
-            if i > 0 {
-                sum += x[i - 1];
-            }
-            if i + 1 < n {
-                sum += x[i + 1];
-            }
-            next[i] = (1.0 - omega) * x[i] + omega * sum / 2.0;
-        }
-        x.copy_from_slice(&next);
-    }
-}
-
-fn residual(x: &[f64], rhs: &[f64], r: &mut [f64]) {
-    let n = x.len();
-    for i in 0..n {
-        let mut ax = 2.0 * x[i];
-        if i > 0 {
-            ax -= x[i - 1];
-        }
-        if i + 1 < n {
-            ax -= x[i + 1];
-        }
-        r[i] = rhs[i] - ax;
-    }
-}
-
-/// One two-grid V-cycle (full-weighting restriction, linear
-/// interpolation, exact-ish coarse solve via many relaxations).
-pub fn v_cycle(x: &mut [f64], rhs: &[f64]) {
-    let n = x.len();
-    relax(x, rhs, 2);
-    let mut r = vec![0.0; n];
-    residual(x, rhs, &mut r);
-    // Restrict (n odd: coarse points at even indices).
-    let nc = n / 2;
-    let mut rc = vec![0.0; nc];
-    for (i, rci) in rc.iter_mut().enumerate() {
-        let f = 2 * i + 1;
-        *rci = 0.25 * r[f - 1] + 0.5 * r[f] + 0.25 * r[f + 1];
-    }
-    // Exact coarse solve (Thomas algorithm). With full weighting
-    // R = ¼[1 2 1] and linear interpolation P = 2Rᵀ, expanding R·A·P
-    // for A = tridiag(−1,2,−1) gives the Galerkin coarse operator
-    // ¼·tridiag(−1, 2, −1); so solve tridiag(−1,2,−1)·e = 4·r_c.
-    let rhs4: Vec<f64> = rc.iter().map(|v| 4.0 * v).collect();
-    let ec = thomas_tridiag(&rhs4);
-    // Interpolate and correct.
-    for (i, &e) in ec.iter().enumerate() {
-        let f = 2 * i + 1;
-        x[f] += e;
-        x[f - 1] += 0.5 * e;
-        if f + 1 < n {
-            x[f + 1] += 0.5 * e;
-        }
-    }
-    relax(x, rhs, 2);
-}
-
-/// Direct solver for `tridiag(−1, 2, −1)·x = rhs` (Thomas algorithm).
-pub fn thomas_tridiag(rhs: &[f64]) -> Vec<f64> {
-    let n = rhs.len();
-    let mut c = vec![0.0; n]; // modified super-diagonal
-    let mut d = rhs.to_vec(); // modified rhs
-    c[0] = -1.0 / 2.0;
-    d[0] /= 2.0;
-    for i in 1..n {
-        let m = 2.0 + c[i - 1];
-        c[i] = -1.0 / m;
-        d[i] = (d[i] + d[i - 1]) / m;
-    }
-    let mut x = d;
-    for i in (0..n - 1).rev() {
-        let next = x[i + 1];
-        x[i] -= c[i] * next;
-    }
-    x
-}
-
-#[cfg(test)]
-fn norm(v: &[f64]) -> f64 {
-    v.iter().map(|x| x * x).sum::<f64>().sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,48 +168,5 @@ mod tests {
             }
             _ => panic!("AMG is work-sharing"),
         }
-    }
-
-    #[test]
-    fn numeric_vcycle_beats_plain_relaxation() {
-        // Multigrid's whole point: a V-cycle reduces smooth error far
-        // faster than the same number of fine-grid relaxations.
-        let n = 127;
-        let rhs = vec![0.0; n];
-        let init: Vec<f64> = (0..n)
-            .map(|i| (std::f64::consts::PI * (i + 1) as f64 / (n + 1) as f64).sin())
-            .collect();
-
-        let mut x_mg = init.clone();
-        v_cycle(&mut x_mg, &rhs);
-
-        let mut x_relax = init.clone();
-        relax(&mut x_relax, &rhs, 4); // same smoothing work, no coarse grid
-
-        let e_mg = norm(&x_mg);
-        let e_relax = norm(&x_relax);
-        assert!(
-            e_mg < e_relax * 0.5,
-            "V-cycle error {e_mg:.2e} should beat relaxation {e_relax:.2e}"
-        );
-    }
-
-    #[test]
-    fn numeric_vcycle_converges_iteratively() {
-        let n = 63;
-        let rhs: Vec<f64> = (0..n).map(|i| ((i * 13) % 7) as f64 - 3.0).collect();
-        let mut x = vec![0.0; n];
-        let mut r = vec![0.0; n];
-        residual(&x, &rhs, &mut r);
-        let r0 = norm(&r);
-        for _ in 0..30 {
-            v_cycle(&mut x, &rhs);
-        }
-        residual(&x, &rhs, &mut r);
-        assert!(
-            norm(&r) < r0 * 1e-3,
-            "30 V-cycles should shrink the residual 1000x, got {} from {r0}",
-            norm(&r)
-        );
     }
 }

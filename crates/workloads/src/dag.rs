@@ -13,7 +13,8 @@
 
 use simproc::engine::Chunk;
 use simproc::perf::CostProfile;
-use tasking::{DagBuilder, SplitMix64, TaskId};
+use simproc::SplitMix64;
+use tasking::{DagBuilder, TaskId};
 
 /// Cost of an interior spawn node: a few tens of microseconds of
 /// runtime bookkeeping, negligible misses.

@@ -132,22 +132,6 @@ pub fn benchmark(style: Style, scale: Scale) -> Benchmark {
     Benchmark::new(name, style, time, range, move |n| build(style, scale, n))
 }
 
-/// Reference numeric kernel: one Jacobi sweep `b ← a + k·∇²a` with
-/// Dirichlet boundaries (boundary rows copied unchanged).
-pub fn jacobi_sweep(a: &[f64], b: &mut [f64], n: usize, k: f64) {
-    b[..n].copy_from_slice(&a[..n]);
-    b[(n - 1) * n..].copy_from_slice(&a[(n - 1) * n..]);
-    for i in 1..n - 1 {
-        b[i * n] = a[i * n];
-        b[i * n + n - 1] = a[i * n + n - 1];
-        for j in 1..n - 1 {
-            let idx = i * n + j;
-            let lap = a[idx - n] + a[idx + n] + a[idx - 1] + a[idx + 1] - 4.0 * a[idx];
-            b[idx] = a[idx] + k * lap;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,30 +199,6 @@ mod tests {
                 (_, BuiltWorkload::Dag(d)) => assert!(!d.is_empty()),
                 _ => panic!("unexpected build shape"),
             }
-        }
-    }
-
-    #[test]
-    fn numeric_jacobi_diffuses_towards_uniform() {
-        // A hot spot in the middle must spread and the total heat in the
-        // interior must stay bounded by the initial extremes.
-        let n = 33;
-        let mut a = vec![0.0f64; n * n];
-        a[(n / 2) * n + n / 2] = 100.0;
-        let mut b = vec![0.0f64; n * n];
-        for _ in 0..200 {
-            jacobi_sweep(&a, &mut b, n, 0.2);
-            std::mem::swap(&mut a, &mut b);
-        }
-        let centre = a[(n / 2) * n + n / 2];
-        assert!(centre < 5.0, "hot spot must diffuse, still {centre}");
-        let neighbour = a[(n / 2) * n + n / 2 + 3];
-        assert!(neighbour > 0.0, "heat must spread outwards");
-        for &v in &a {
-            assert!(
-                (0.0..=100.0).contains(&v),
-                "maximum principle violated: {v}"
-            );
         }
     }
 }

@@ -96,45 +96,6 @@ pub fn benchmark(scale: Scale) -> Benchmark {
     )
 }
 
-// ---------------------------------------------------------------------
-// Reference numeric kernel: banded 27-point SpMV on a small 3-D grid —
-// the operation the cost model abstracts.
-// ---------------------------------------------------------------------
-
-/// y = A·x for the 27-point stencil matrix on an `nx×ny×nz` grid with
-/// diagonal 26 and off-diagonals −1 (HPCCG's generate_matrix).
-pub fn stencil27_spmv(x: &[f64], y: &mut [f64], nx: usize, ny: usize, nz: usize) {
-    let idx = |i: usize, j: usize, k: usize| (k * ny + j) * nx + i;
-    for k in 0..nz {
-        for j in 0..ny {
-            for i in 0..nx {
-                let mut acc = 27.0 * x[idx(i, j, k)];
-                for dk in -1i64..=1 {
-                    for dj in -1i64..=1 {
-                        for di in -1i64..=1 {
-                            if di == 0 && dj == 0 && dk == 0 {
-                                continue;
-                            }
-                            let (ii, jj, kk) = (i as i64 + di, j as i64 + dj, k as i64 + dk);
-                            if ii < 0
-                                || jj < 0
-                                || kk < 0
-                                || ii >= nx as i64
-                                || jj >= ny as i64
-                                || kk >= nz as i64
-                            {
-                                continue;
-                            }
-                            acc -= x[idx(ii as usize, jj as usize, kk as usize)];
-                        }
-                    }
-                }
-                y[idx(i, j, k)] = acc;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,35 +138,5 @@ mod tests {
             }
             _ => panic!("HPCCG is work-sharing"),
         }
-    }
-
-    #[test]
-    fn numeric_spmv_constant_vector_nulls_interior() {
-        // For x ≡ 1, interior rows sum 27 − 26 neighbours... the 27-point
-        // stencil row sums to 27 − 26 = 1 at full interior.
-        let (nx, ny, nz) = (6, 6, 6);
-        let x = vec![1.0; nx * ny * nz];
-        let mut y = vec![0.0; nx * ny * nz];
-        stencil27_spmv(&x, &mut y, nx, ny, nz);
-        let idx = |i: usize, j: usize, k: usize| (k * ny + j) * nx + i;
-        assert!((y[idx(3, 3, 3)] - 1.0).abs() < 1e-12, "interior row sum");
-        // Corner rows have only 7 neighbours: 27 − 7 = 20.
-        assert!((y[idx(0, 0, 0)] - 20.0).abs() < 1e-12, "corner row sum");
-    }
-
-    #[test]
-    fn numeric_spmv_is_symmetric_operator() {
-        // ⟨Ax, y⟩ = ⟨x, Ay⟩ for the symmetric stencil.
-        let (nx, ny, nz) = (5, 4, 3);
-        let n = nx * ny * nz;
-        let x: Vec<f64> = (0..n).map(|i| ((i * 37) % 11) as f64 - 5.0).collect();
-        let y: Vec<f64> = (0..n).map(|i| ((i * 17) % 7) as f64 - 3.0).collect();
-        let mut ax = vec![0.0; n];
-        let mut ay = vec![0.0; n];
-        stencil27_spmv(&x, &mut ax, nx, ny, nz);
-        stencil27_spmv(&y, &mut ay, nx, ny, nz);
-        let d1: f64 = ax.iter().zip(&y).map(|(a, b)| a * b).sum();
-        let d2: f64 = x.iter().zip(&ay).map(|(a, b)| a * b).sum();
-        assert!((d1 - d2).abs() < 1e-9 * d1.abs().max(1.0));
     }
 }

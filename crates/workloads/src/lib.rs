@@ -12,15 +12,17 @@
 //! | HPCCG (256×256×1024, 149) | work-sharing | 0.060–0.148 | 17 |
 //! | AMG (256×256×1024, 22) | work-sharing | 0.060–0.332 | 60 |
 //!
-//! Each benchmark here is a *generator*: it derives per-task
-//! `(instructions, LLC misses)` counts from the kernel's actual
-//! arithmetic — bytes streamed per grid point, instructions per point,
-//! stencil reuse in the last-level cache — and emits either a
+//! Each benchmark here is a *generator*: it turns per-task
+//! `(instructions, LLC misses)` counts into either a
 //! [`tasking::TaskDag`] (tasking styles) or a region list (work-sharing
-//! style). The simulated Cuttlefish runtime sees exactly what the real
-//! one sees: MSR counter streams. Memory contents are never simulated;
-//! miniature *numeric* versions of the kernels live in each module's
-//! tests to pin down the per-point arithmetic the cost models use.
+//! style). The counts come from hand-set per-point constants
+//! ([`cache::KernelCost`]): instructions per grid point or nonzero, and
+//! misses per point from the bytes a kernel streams and its stencil
+//! reuse in the last-level cache. Each module's "Cost model" section
+//! derives its constants, and its tests check them against Table 1's
+//! TIPI slabs. The simulated Cuttlefish runtime sees exactly what the
+//! real one sees: MSR counter streams. Neither memory contents nor the
+//! kernels' numerics are simulated.
 //!
 //! The `-irt`/`-rt` task variants use the regular/irregular execution
 //! DAGs of the paper's Figure 1 (after Chen et al.), built by [`dag`].

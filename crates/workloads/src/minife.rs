@@ -106,59 +106,6 @@ pub fn benchmark(scale: Scale) -> Benchmark {
     )
 }
 
-// ---------------------------------------------------------------------
-// Reference numeric kernel: CG on a small SPD system (1-D Laplacian),
-// the algorithm MiniFE's solve phase runs.
-// ---------------------------------------------------------------------
-
-/// Multiply the tridiagonal 1-D Laplacian `[−1, 2, −1]` into `x`.
-pub fn laplacian_spmv(x: &[f64], y: &mut [f64]) {
-    let n = x.len();
-    for i in 0..n {
-        let mut v = 2.0 * x[i];
-        if i > 0 {
-            v -= x[i - 1];
-        }
-        if i + 1 < n {
-            v -= x[i + 1];
-        }
-        y[i] = v;
-    }
-}
-
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// Unpreconditioned CG for the 1-D Laplacian; returns (solution,
-/// iterations used).
-pub fn conjugate_gradient(rhs: &[f64], max_iters: usize, tol: f64) -> (Vec<f64>, usize) {
-    let n = rhs.len();
-    let mut x = vec![0.0; n];
-    let mut r = rhs.to_vec();
-    let mut p = r.clone();
-    let mut ap = vec![0.0; n];
-    let mut rr = dot(&r, &r);
-    for it in 0..max_iters {
-        if rr.sqrt() < tol {
-            return (x, it);
-        }
-        laplacian_spmv(&p, &mut ap);
-        let alpha = rr / dot(&p, &ap);
-        for i in 0..n {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * ap[i];
-        }
-        let rr_new = dot(&r, &r);
-        let beta = rr_new / rr;
-        rr = rr_new;
-        for i in 0..n {
-            p[i] = r[i] + beta * p[i];
-        }
-    }
-    (x, max_iters)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,33 +152,5 @@ mod tests {
             }
             _ => panic!("MiniFE is work-sharing"),
         }
-    }
-
-    #[test]
-    fn numeric_cg_solves_laplacian() {
-        let n = 64;
-        let rhs = vec![1.0; n];
-        let (x, iters) = conjugate_gradient(&rhs, 200, 1e-10);
-        assert!(iters < 200, "CG should converge, used {iters}");
-        // Verify A·x = rhs.
-        let mut ax = vec![0.0; n];
-        laplacian_spmv(&x, &mut ax);
-        for i in 0..n {
-            assert!(
-                (ax[i] - rhs[i]).abs() < 1e-6,
-                "residual at {i}: {}",
-                ax[i] - rhs[i]
-            );
-        }
-    }
-
-    #[test]
-    fn numeric_cg_exact_in_n_iterations() {
-        // CG on an n×n SPD system converges in at most n steps (exact
-        // arithmetic); with rounding, well under 2n.
-        let n = 32;
-        let rhs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let (_, iters) = conjugate_gradient(&rhs, 4 * n, 1e-9);
-        assert!(iters <= 2 * n, "used {iters}");
     }
 }

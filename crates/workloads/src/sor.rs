@@ -109,28 +109,6 @@ pub fn benchmark(style: Style, scale: Scale) -> Benchmark {
     Benchmark::new(name, style, time, range, move |n| build(style, scale, n))
 }
 
-/// Reference numeric kernel: one red-black SOR sweep on a small grid.
-/// This is the computation the cost model abstracts; tests use it to
-/// validate convergence and the per-point instruction estimate.
-pub fn sor_sweep(u: &mut [f64], n: usize, omega: f64) -> f64 {
-    let mut max_delta = 0.0f64;
-    for colour in 0..2 {
-        for i in 1..n - 1 {
-            let start = 1 + ((i + colour) % 2);
-            let mut j = start;
-            while j < n - 1 {
-                let idx = i * n + j;
-                let resid = u[idx - n] + u[idx + n] + u[idx - 1] + u[idx + 1] - 4.0 * u[idx];
-                let delta = omega * resid / 4.0;
-                u[idx] += delta;
-                max_delta = max_delta.max(delta.abs());
-                j += 2;
-            }
-        }
-    }
-    max_delta
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,36 +169,5 @@ mod tests {
         } else {
             panic!();
         }
-    }
-
-    #[test]
-    fn numeric_sor_converges_to_laplace_solution() {
-        // Boundary: u = 1 on the top edge, 0 elsewhere. SOR iterations
-        // must monotonically shrink the update magnitude and converge.
-        let n = 33;
-        let mut u = vec![0.0f64; n * n];
-        u[..n].fill(1.0);
-        let mut last = f64::INFINITY;
-        let mut converged = false;
-        for _ in 0..2000 {
-            let d = sor_sweep(&mut u, n, 1.5);
-            assert!(d.is_finite());
-            last = d;
-            if d < 1e-10 {
-                converged = true;
-                break;
-            }
-        }
-        assert!(converged, "SOR failed to converge, last delta {last}");
-        // Interior values bounded by the boundary extremes (max principle).
-        for i in 1..n - 1 {
-            for j in 1..n - 1 {
-                let v = u[i * n + j];
-                assert!((0.0..=1.0).contains(&v), "max principle violated: {v}");
-            }
-        }
-        // The centre of the square with one hot edge sits near 0.25.
-        let centre = u[(n / 2) * n + n / 2];
-        assert!((centre - 0.25).abs() < 0.02, "centre {centre}");
     }
 }

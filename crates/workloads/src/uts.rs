@@ -11,19 +11,16 @@
 //! PRNG: each task explores a subtree chunk (millions of hash
 //! evaluations), and spawns 0–4 child tasks with a skewed size
 //! distribution, reproducing both the irregular DAG and the work
-//! imbalance. The numeric reference in the tests is a miniature
-//! geometric UTS with a splitmix-style node hash.
+//! imbalance.
 
 use crate::{Benchmark, BuiltWorkload, Scale, Style};
 use simproc::engine::Chunk;
 use simproc::perf::CostProfile;
-use tasking::{DagBuilder, SplitMix64, TaskId};
+use simproc::SplitMix64;
+use tasking::{DagBuilder, TaskId};
 
 /// Paper-reported Default execution time (Table 1).
 pub const PAPER_TIME_S: f64 = 69.9;
-
-/// Instructions per tree node (hash + bookkeeping).
-pub const INSTR_PER_NODE: f64 = 30.0;
 
 /// TIPI of the traversal: nearly compute-pure.
 pub const TIPI: f64 = 0.0009;
@@ -103,111 +100,6 @@ pub fn benchmark(scale: Scale) -> Benchmark {
     )
 }
 
-/// UTS with **online tree unfolding**: tasks are created while the
-/// search runs, exactly like the real benchmark, instead of
-/// pre-generating the DAG. Each simulated core owns a local stack of
-/// subtree descriptors and steals from a shared overflow pool when it
-/// runs dry — the self-scheduling structure of the original UTS
-/// work-stealing implementation the paper notes UTS ships with.
-///
-/// Functionally equivalent to [`build`] for the profiler (same TIPI,
-/// same aggregate work budget); exists to demonstrate that nothing in
-/// the stack depends on the task graph being known up front.
-#[derive(Debug)]
-pub struct DynamicUts {
-    /// Per-core local stacks of (seed, remaining-budget) descriptors.
-    local: Vec<Vec<(u64, f64)>>,
-    /// Shared overflow pool (victims push here when their stack grows).
-    shared: Vec<(u64, f64)>,
-    rng: SplitMix64,
-}
-
-impl DynamicUts {
-    /// Online UTS sized like the paper's run at `scale`.
-    pub fn new(scale: Scale, n_cores: usize, seed: u64) -> Self {
-        let total = paper_total_instructions() * scale.0;
-        DynamicUts {
-            local: vec![Vec::new(); n_cores],
-            shared: vec![(seed, total)],
-            rng: SplitMix64::new(seed),
-        }
-    }
-
-    /// Expand one descriptor: take its own work, split the rest among
-    /// 0–4 children pushed back to `core`'s stack.
-    fn expand(&mut self, core: usize, node_seed: u64, budget: f64) -> Chunk {
-        let own = self.rng.uniform(4.0e6, 16.0e6).min(budget);
-        let mut rest = budget - own;
-        let n_children = 1 + self.rng.below(4);
-        for c in 0..n_children {
-            if rest < 1.0e6 {
-                break;
-            }
-            let share = if c + 1 == n_children {
-                rest
-            } else {
-                rest * self.rng.uniform(0.2, 0.8)
-            };
-            let child = (node_hash(node_seed ^ (c as u64 + 1)), share);
-            // Overflow beyond a small local stack goes to the shared
-            // pool where idle cores can grab it.
-            if self.local[core].len() >= 8 {
-                self.shared.push(child);
-            } else {
-                self.local[core].push(child);
-            }
-            rest -= share;
-        }
-        task_chunk(own as u64)
-    }
-}
-
-impl simproc::engine::Workload for DynamicUts {
-    fn next_chunk(&mut self, core: usize, _now_ns: u64) -> Option<Chunk> {
-        // Expansion happens at hand-out; in-flight chunks are tracked by
-        // the engine itself, so draining the stacks is the only state.
-        let desc = self.local[core].pop().or_else(|| self.shared.pop())?;
-        Some(self.expand(core, desc.0, desc.1))
-    }
-
-    fn is_done(&self) -> bool {
-        self.shared.is_empty() && self.local.iter().all(Vec::is_empty)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Reference numeric kernel: miniature geometric UTS.
-// ---------------------------------------------------------------------
-
-/// Splitmix64 — stands in for the SHA-1 node hash of real UTS.
-pub fn node_hash(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Count the nodes of a geometric UTS tree rooted at `id` with branching
-/// factor drawn from the node hash: `P(child) = b/(b+1)` per slot, depth
-/// capped at `max_depth`.
-pub fn count_tree(id: u64, depth: u32, max_depth: u32, b: u32) -> u64 {
-    if depth >= max_depth {
-        return 1;
-    }
-    let h = node_hash(id);
-    let mut count = 1;
-    for slot in 0..b {
-        // Child exists if the slot's hash bits pass a threshold that
-        // shrinks with depth (geometric decay keeps the tree finite).
-        let bits = (h >> (slot * 8)) & 0xff;
-        let threshold = 256 * (max_depth - depth) / (max_depth + 1);
-        if (bits as u32) < threshold {
-            count += count_tree(node_hash(id ^ (slot as u64 + 1)), depth + 1, max_depth, b);
-        }
-    }
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,89 +151,5 @@ mod tests {
         let d2 = dag(0.01);
         assert_eq!(d1.len(), d2.len());
         assert_eq!(d1.total_instructions(), d2.total_instructions());
-    }
-
-    #[test]
-    fn dynamic_uts_executes_full_budget() {
-        use simproc::engine::Workload;
-        use simproc::freq::HASWELL_2650V3;
-        use simproc::SimProcessor;
-        let scale = Scale(0.02);
-        let mut p = SimProcessor::new(HASWELL_2650V3.clone());
-        let mut wl = DynamicUts::new(scale, p.n_cores(), 42);
-        while !p.workload_drained(&wl) {
-            p.step(&mut wl);
-        }
-        assert!(wl.is_done());
-        let want = paper_total_instructions() * scale.0;
-        let got = p.total_instructions();
-        assert!(
-            (got - want).abs() / want < 0.02,
-            "dynamic unfolding must hit the same budget: {got} vs {want}"
-        );
-    }
-
-    #[test]
-    fn dynamic_uts_matches_pregenerated_tipi() {
-        use simproc::freq::HASWELL_2650V3;
-        use simproc::msr;
-        use simproc::SimProcessor;
-        let mut p = SimProcessor::new(HASWELL_2650V3.clone());
-        let mut wl = DynamicUts::new(Scale(0.02), p.n_cores(), 42);
-        while !p.workload_drained(&wl) {
-            p.step(&mut wl);
-        }
-        let tor = (p.msr_read(msr::SIM_TOR_INSERT_MISS_LOCAL).unwrap()
-            + p.msr_read(msr::SIM_TOR_INSERT_MISS_REMOTE).unwrap()) as f64;
-        let tipi = tor / p.total_instructions();
-        assert!(
-            (0.0..0.004).contains(&tipi),
-            "same single low slab as the pregenerated DAG, got {tipi}"
-        );
-    }
-
-    #[test]
-    fn dynamic_uts_is_deterministic() {
-        use simproc::freq::HASWELL_2650V3;
-        use simproc::SimProcessor;
-        let run = || {
-            let mut p = SimProcessor::new(HASWELL_2650V3.clone());
-            let mut wl = DynamicUts::new(Scale(0.01), p.n_cores(), 5);
-            while !p.workload_drained(&wl) {
-                p.step(&mut wl);
-            }
-            (p.now_ns(), p.total_instructions())
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn numeric_uts_counts_are_reproducible_and_unbalanced() {
-        let a = count_tree(1, 0, 8, 4);
-        let b = count_tree(1, 0, 8, 4);
-        assert_eq!(a, b, "same seed, same count");
-        // Different roots produce very different subtree sizes — the
-        // imbalance UTS exists to create. (At moderate depth the
-        // variance is large relative to the mean; deep trees average
-        // out by the law of large numbers.)
-        let sizes: Vec<u64> = (1..=40).map(|r| count_tree(r, 0, 8, 4)).collect();
-        let min = *sizes.iter().min().unwrap();
-        let max = *sizes.iter().max().unwrap();
-        assert!(
-            max > min.saturating_mul(3),
-            "imbalance: min {min}, max {max}"
-        );
-    }
-
-    #[test]
-    fn node_hash_avalanches() {
-        // Flipping one input bit changes about half the output bits.
-        let x = 0xdead_beef_1234_5678u64;
-        let mut total = 0;
-        for bit in 0..64 {
-            total += (node_hash(x) ^ node_hash(x ^ (1 << bit))).count_ones();
-        }
-        let avg = total as f64 / 64.0;
-        assert!((24.0..40.0).contains(&avg), "avalanche average {avg}");
     }
 }

@@ -1,62 +1,19 @@
-//! The async–finish programming model, twice:
-//!
-//! 1. for real — an unbalanced tree traversal on host threads using
-//!    `tasking::threaded::Pool` (the HClib-style API), demonstrating
-//!    that the substrate is a genuine work-stealing runtime;
-//! 2. simulated — the paper's UTS benchmark on the 20-core simulated
-//!    machine with Cuttlefish adapting frequencies, reproducing the
-//!    compute-bound result (CF stays at max, uncore drops to ~1.2 GHz).
+//! The async–finish programming model, simulated: the paper's UTS
+//! benchmark on the 20-core simulated machine with Cuttlefish adapting
+//! frequencies, reproducing the compute-bound result (CF stays at max,
+//! uncore drops to ~1.2 GHz).
 //!
 //! Run with: `cargo run --release --example irregular_tasks`
 
 use bench::Scenario;
 use cuttlefish::controller::NodePolicy;
 use cuttlefish::Config;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use tasking::threaded::{Pool, Scope};
-use workloads::{uts, ProgModel};
-
-/// Count an unbalanced tree by spawning a task per subtree.
-fn count_tree(scope: &Scope<'_>, id: u64, depth: u32, nodes: Arc<AtomicU64>) {
-    nodes.fetch_add(1, Ordering::Relaxed);
-    if depth >= 9 {
-        return;
-    }
-    let h = uts::node_hash(id);
-    for slot in 0..4u32 {
-        let bits = (h >> (slot * 8)) & 0xff;
-        let threshold = 256 * (9 - depth) / 10;
-        if (bits as u32) < threshold {
-            let nodes = nodes.clone();
-            let child = uts::node_hash(id ^ (slot as u64 + 1));
-            scope.spawn(move |s| count_tree(s, child, depth + 1, nodes));
-        }
-    }
-}
+use workloads::ProgModel;
 
 fn main() {
-    // Part 1: real threads.
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let pool = Pool::new(threads.min(8));
-    let nodes = Arc::new(AtomicU64::new(0));
-    let t0 = std::time::Instant::now();
-    pool.finish(|scope| {
-        let nodes = nodes.clone();
-        scope.spawn(move |s| count_tree(s, 1, 0, nodes));
-    });
-    println!(
-        "threaded async-finish: counted {} tree nodes on {} workers in {:?}\n",
-        nodes.load(Ordering::Relaxed),
-        pool.n_threads(),
-        t0.elapsed()
-    );
-
-    // Part 2: the UTS benchmark under Cuttlefish on the simulated
-    // machine — one declarative Scenario (HClib model = work-stealing
-    // scheduler), stepped by hand to read the final machine state.
+    // The UTS benchmark under Cuttlefish — one declarative Scenario
+    // (HClib model = work-stealing scheduler), stepped by hand to read
+    // the final machine state.
     let scenario = Scenario::bench("UTS", ProgModel::HClib, 0.2)
         .policy(NodePolicy::Cuttlefish(Config::default()))
         .seed(11)
